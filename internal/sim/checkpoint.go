@@ -34,8 +34,9 @@ import (
 // population size and the perturbation section to every payload (the
 // scenario layer: n becomes time-varying under churn, and perturbed
 // resumes need the perturbation stream position and boundary cursor);
-// the envelope's population field holds the initial n₀.
-const CheckpointVersion = 2
+// the envelope's population field holds the initial n₀. Version 3 dropped
+// the legacy fixed-batch length from the counts configuration fingerprint.
+const CheckpointVersion = 3
 
 // ckptMagic is the snapshot file format tag.
 const ckptMagic = "POPCKPT\x00"
@@ -420,7 +421,6 @@ func (e *CountsEngine[S]) countsSnapshot() ([]byte, error) {
 	w.u8(byte(e.Policy.Mode))
 	w.u64(e.Policy.Len)
 	w.f64(e.Policy.Eps)
-	w.u64(e.BatchLen)
 	// States in id-assignment order (ids are assigned by first appearance,
 	// and the assignment order is trajectory-relevant: batch setup sorts
 	// occupied states with id tie-breaks).
@@ -482,14 +482,13 @@ func (e *CountsEngine[S]) countsRestore(payload []byte) error {
 	mode := BatchMode(r.u8())
 	plen := r.u64()
 	peps := r.f64()
-	batchLen := r.u64()
 	if r.err == nil {
 		if workers != e.Workers {
 			return fmt.Errorf("sim: checkpoint Workers=%d, engine has %d", workers, e.Workers)
 		}
-		if mode != e.Policy.Mode || plen != e.Policy.Len || peps != e.Policy.Eps || batchLen != e.BatchLen {
+		if mode != e.Policy.Mode || plen != e.Policy.Len || peps != e.Policy.Eps {
 			return fmt.Errorf("sim: checkpoint batch policy %s/len=%d differs from engine's %s/len=%d",
-				BatchPolicy{Mode: mode, Len: plen, Eps: peps}, batchLen, e.Policy, e.BatchLen)
+				BatchPolicy{Mode: mode, Len: plen, Eps: peps}, plen, e.Policy, e.Policy.Len)
 		}
 	}
 
@@ -691,24 +690,19 @@ func (e *CountsEngine[S]) maybeCheckpoint() { e.ckpt.fire(e.step, e.Snapshot) }
 // ---------------------------------------------------------------------------
 // Runner (dense backend).
 
-// denseCkptSupport resolves the two capabilities dense checkpointing needs:
-// a finite state enumeration for the portable state codec, and the concrete
-// *rng.Source scheduler whose stream position can be serialized.
-func (r *Runner[S, P]) denseCkptSupport() (Enumerable[S], *rng.Source, error) {
+// denseEnum resolves the finite state enumeration the portable state codec
+// of dense checkpointing needs.
+func (r *Runner[S, P]) denseEnum() (Enumerable[S], error) {
 	en, ok := any(r.proto).(Enumerable[S])
 	if !ok {
-		return nil, nil, fmt.Errorf("sim: dense checkpoint requires protocol %s to implement Enumerable (finite state-space enumeration)", r.proto.Name())
+		return nil, fmt.Errorf("sim: dense checkpoint requires protocol %s to implement Enumerable (finite state-space enumeration)", r.proto.Name())
 	}
-	src, ok := r.rng.(*rng.Source)
-	if !ok {
-		return nil, nil, fmt.Errorf("sim: dense checkpoint requires an *rng.Source scheduler, not %T", r.rng)
-	}
-	return en, src, nil
+	return en, nil
 }
 
 // Snapshot implements Checkpointable.
 func (r *Runner[S, P]) Snapshot() ([]byte, error) {
-	en, src, err := r.denseCkptSupport()
+	en, err := r.denseEnum()
 	if err != nil {
 		return nil, err
 	}
@@ -721,7 +715,7 @@ func (r *Runner[S, P]) Snapshot() ([]byte, error) {
 	// perturbation section.
 	w.u64(uint64(r.n))
 	r.pert.encode(&w)
-	w.bytes(src.State())
+	w.bytes(r.rng.State())
 	w.u64(r.step)
 	w.boolean(r.TrackStates)
 	for _, s := range r.pop {
@@ -753,7 +747,7 @@ func (r *Runner[S, P]) Snapshot() ([]byte, error) {
 
 // Restore implements Checkpointable.
 func (r *Runner[S, P]) Restore(snapshot []byte) error {
-	en, src, err := r.denseCkptSupport()
+	en, err := r.denseEnum()
 	if err != nil {
 		return err
 	}
@@ -813,7 +807,7 @@ func (r *Runner[S, P]) Restore(snapshot []byte) error {
 	if err := r.pert.restore(pc); err != nil {
 		return err
 	}
-	if err := src.SetState(srcState); err != nil {
+	if err := r.rng.SetState(srcState); err != nil {
 		return fmt.Errorf("sim: checkpoint PRNG state: %w", err)
 	}
 	if err := r.probes.restoreSchedules(scheds); err != nil {

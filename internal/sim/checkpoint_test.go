@@ -357,11 +357,15 @@ func TestCheckpointFormatRejection(t *testing.T) {
 	wantRestoreError(t, fresh(), junk, "format tag")
 
 	// Format-version mismatch (header rewritten, hash recomputed so the
-	// version check itself is what rejects).
-	wrongVer := append([]byte(nil), snap...)
-	binary.LittleEndian.PutUint32(wrongVer[8:], sim.CheckpointVersion+1)
-	reseal(wrongVer)
-	wantRestoreError(t, fresh(), wrongVer, "format version")
+	// version check itself is what rejects). Version 2 envelopes carry a
+	// counts fingerprint field this format no longer has; they must be
+	// refused by version, before the payload is parsed.
+	for _, v := range []uint32{2, sim.CheckpointVersion + 1} {
+		wrongVer := append([]byte(nil), snap...)
+		binary.LittleEndian.PutUint32(wrongVer[8:], v)
+		reseal(wrongVer)
+		wantRestoreError(t, fresh(), wrongVer, "format version")
+	}
 
 	// Engine-kind, population and protocol mismatches.
 	wantRestoreError(t, buildCkptEngine(t, "dense", n, 5), snap, "counts engine")

@@ -73,13 +73,6 @@ type CountsEngine[S comparable] struct {
 	// AutoAdaptiveMaxN, fixed n/8 batches beyond.
 	Policy BatchPolicy
 
-	// BatchLen is the legacy fixed-batch knob: a nonzero value is
-	// shorthand for BatchPolicy{Mode: BatchFixed, Len: BatchLen} and takes
-	// effect when Policy is left at its zero value (1 forces exact
-	// simulation). Values above n/2 are clamped to n/2 (a batch cannot
-	// involve more than n distinct agents). New code should set Policy.
-	BatchLen uint64
-
 	// State indexing is lazy: states are assigned dense int32 ids in
 	// order of first appearance (initial census, then Delta outputs).
 	states   []S
@@ -170,18 +163,17 @@ type CountsEngine[S comparable] struct {
 	enumStates []S
 	biasW      []float64
 
-	// DisableReactive forces the reference samplers: no silent-step
-	// skipping in exact mode and no reactive-column pruning in batches
-	// (see reactive.go). The differential law tests compare this
-	// reference against the optimized paths; it is not otherwise useful —
-	// both transformations are distribution-exact.
+	// DisableReactive selects the exact-mode reference walker: no
+	// silent-step skipping (see reactive.go). The differential law test
+	// compares this reference against the skip walker; it is not otherwise
+	// useful — the skip is distribution-exact. Batches ignore it.
 	DisableReactive bool
 
 	// occVer counts occupancy transitions (states entering or leaving the
 	// active list). It versions every structure derived from the occupied
-	// *set* — the reactive layer's partner lists and column classification,
-	// and the batch path's sorted-occ cache — so they rebuild lazily
-	// exactly when membership changes.
+	// *set* — the reactive layer's partner lists and the batch path's
+	// sorted-occ cache — so they rebuild lazily exactly when membership
+	// changes.
 	occVer uint64
 	// occSortVer is the occVer the cached sorted e.occ was built against
 	// (^0 = no cache). The cached order is reused only while it is still
@@ -194,9 +186,8 @@ type CountsEngine[S comparable] struct {
 	// batches).
 	allIDs []int32
 
-	// react is the reactive-pair layer: silent-step skipping in exact mode
-	// and globally-silent column classification for batch pruning. See
-	// reactive.go for the structure and the maintenance law.
+	// react is the reactive-pair layer: silent-step skipping in exact
+	// mode. See reactive.go for the structure and the maintenance law.
 	react reactState
 }
 
@@ -428,7 +419,7 @@ func (e *CountsEngine[S]) VisitStates(f func(s S, count int64)) {
 // once at the end of Run (every == 0: end of Run only). In the batched
 // regime, batches are split at probe boundaries so probes observe the
 // census at their exact cadence; a cadence much shorter than the batch
-// length therefore shortens batches and costs throughput (see BatchLen).
+// length therefore shortens batches and costs throughput.
 func (e *CountsEngine[S]) AddProbe(p Probe[S], every uint64) {
 	e.probes.add(p, every, e.step)
 }
@@ -613,15 +604,12 @@ const (
 )
 
 // resolvedPolicy returns the effective batch policy: an explicit Policy
-// wins, the legacy BatchLen shorthand comes second, and the BatchAuto
-// default resolves to exact stepping below ExactMaxN agents and the
-// adaptive controller above.
+// wins, and the BatchAuto default resolves to exact stepping below
+// ExactMaxN agents and the adaptive controller above.
 func (e *CountsEngine[S]) resolvedPolicy() BatchPolicy {
 	p := e.Policy
 	if p.Mode == BatchAuto {
 		switch {
-		case e.BatchLen != 0:
-			return BatchPolicy{Mode: BatchFixed, Len: e.BatchLen}
 		case e.n < ExactMaxN:
 			return BatchPolicy{Mode: BatchExact}
 		case e.n <= AutoAdaptiveMaxN:
@@ -633,10 +621,7 @@ func (e *CountsEngine[S]) resolvedPolicy() BatchPolicy {
 		}
 	}
 	if p.Mode == BatchFixed && p.Len == 0 {
-		p.Len = e.BatchLen
-		if p.Len == 0 {
-			p.Len = uint64(e.n) / 8
-		}
+		p.Len = uint64(e.n) / 8
 	}
 	if p.Mode == BatchAdaptive && p.Eps <= 0 {
 		p.Eps = DefaultBatchEps
@@ -1158,29 +1143,6 @@ func (e *CountsEngine[S]) sampleBatchSerial(l uint64) {
 	for j, id := range occ {
 		pool[j] = e.pop[id] - resp[j]
 		poolInit[j] = pool[j]
-	}
-
-	// Reactive-column pruning (see reactive.go): when some occupied
-	// columns are globally silent — Delta(a, b) = (a, b) for every
-	// occupied responder a — their initiator pools are merged into one
-	// aggregated pseudo-column. Each row draws its silent share with a
-	// single hypergeometric and then runs its chain over the reactive
-	// columns only; grouping exchangeable categories of a multivariate
-	// hypergeometric marginalizes them exactly, and a globally silent
-	// initiator has no census effect under any row, so the joint law of
-	// the staged reactive cell counts is unchanged (pinned by the
-	// differential law test against the DisableReactive reference).
-	if !e.DisableReactive && e.gsilColumns() > 0 {
-		silentRem := int64(0)
-		for j, id := range occ {
-			if e.react.gsil[id] {
-				silentRem += pool[j]
-			}
-		}
-		if silentRem > 0 {
-			e.samplePrunedRows(resp, pool, poolTotal, silentRem)
-			return
-		}
 	}
 
 	// The alias sampler proposes from cached batch-start weights and

@@ -23,15 +23,6 @@ type Hook[S comparable] func(step uint64, ri, ii int, oldR, oldI, newR, newI S)
 // observers are implemented as a thin adapter over the probe pipeline.
 type Observer[S comparable] func(step uint64, pop []S)
 
-// PairSource supplies the scheduler's ordered agent pairs. *rng.Source is
-// the uniform random scheduler of the model; package trace provides
-// recording and replaying sources for deterministic debugging.
-type PairSource interface {
-	// Pair returns an ordered (responder, initiator) pair of distinct
-	// indices in [0, n).
-	Pair(n int) (responder, initiator int)
-}
-
 // Runner executes one population protocol instance.
 //
 // A Runner is single-goroutine; to parallelize, create one Runner per trial
@@ -42,7 +33,7 @@ type Runner[S comparable, P Protocol[S]] struct {
 	// compiled fast path when it implements DeltaCompiler (one private
 	// memo per runner — see CompileDelta), proto.Delta otherwise.
 	delta func(r, i S) (S, S)
-	rng   PairSource
+	rng   *rng.Source
 	pop   []S
 	// n is the live population size; n0 the initial size. They differ only
 	// under churn perturbations.
@@ -84,18 +75,16 @@ type Runner[S comparable, P Protocol[S]] struct {
 
 	// pert is the attached scenario perturbation (see SetPerturbation),
 	// applied after every step — the dense backend's scheduling unit.
-	// schedSrc is r.rng as a concrete *rng.Source (required for bias
-	// rejection sampling), pertTgt the cached mutation adapter, and
-	// enumStates the protocol's state enumeration for scrambles.
+	// pertTgt is the cached mutation adapter, and enumStates the
+	// protocol's state enumeration for scrambles.
 	pert       pertState
-	schedSrc   *rng.Source
 	pertTgt    PerturbTarget
 	enumStates []S
 }
 
-// NewRunner creates a runner for proto using the given pair source
-// (typically an *rng.Source for the model's uniform random scheduler).
-func NewRunner[S comparable, P Protocol[S]](proto P, src PairSource) *Runner[S, P] {
+// NewRunner creates a runner for proto whose uniform random scheduler
+// draws its ordered agent pairs from src.
+func NewRunner[S comparable, P Protocol[S]](proto P, src *rng.Source) *Runner[S, P] {
 	n := proto.N()
 	if n < 2 {
 		panic(fmt.Sprintf("sim: population size %d < 2", n))
@@ -159,28 +148,22 @@ func (r *Runner[S, P]) Reset() {
 }
 
 // SetPerturbation implements Perturbable: p is applied after every
-// interaction, the dense backend's scheduling-unit boundary. It requires
-// the runner's pair source to be an *rng.Source (the perturbation stream
-// is split off it without advancing it, and bias needs its Float64) and
-// the protocol to be Enumerable (scrambles draw from the enumeration).
-// Must be called before Run; nil detaches.
+// interaction, the dense backend's scheduling-unit boundary. The
+// perturbation stream is split off the scheduler's source without
+// advancing it. It requires the protocol to be Enumerable (scrambles draw
+// from the enumeration). Must be called before Run; nil detaches.
 func (r *Runner[S, P]) SetPerturbation(p Perturbation) error {
 	if p == nil {
 		r.pert = pertState{}
 		return nil
 	}
-	src, ok := r.rng.(*rng.Source)
-	if !ok {
-		return fmt.Errorf("sim: perturbations need an *rng.Source pair source, have %T", r.rng)
-	}
 	en, ok := any(r.proto).(Enumerable[S])
 	if !ok {
 		return fmt.Errorf("sim: perturbations need an enumerable protocol")
 	}
-	if err := r.pert.attach(p, src, r.proto.NumClasses()); err != nil {
+	if err := r.pert.attach(p, r.rng, r.proto.NumClasses()); err != nil {
 		return err
 	}
-	r.schedSrc = src
 	r.enumStates = en.States()
 	r.pertTgt = denseTarget[S, P]{r}
 	return nil
@@ -356,12 +339,12 @@ func (r *Runner[S, P]) biasedPair() (int, int) {
 
 func (r *Runner[S, P]) biasedIndex(exclude int) int {
 	for {
-		i := int(r.schedSrc.Uintn(uint64(r.n)))
+		i := int(r.rng.Uintn(uint64(r.n)))
 		if i == exclude {
 			continue
 		}
 		w := r.pert.bias[r.proto.Class(r.pop[i])]
-		if w == r.pert.biasMax || r.schedSrc.Float64()*r.pert.biasMax < w {
+		if w == r.pert.biasMax || r.rng.Float64()*r.pert.biasMax < w {
 			return i
 		}
 	}

@@ -259,10 +259,9 @@ func (e *ShardedCountsEngine[S]) DistinctStates() int {
 // the exact or faithful-adaptive tier (e.g. n = 10⁹ over K = 8 shards puts
 // each 1.25·10⁸-agent sub-census inside AutoAdaptiveMaxN). Sub-censuses
 // inherit the reactive-pair layer (reactive.go) for free through their
-// exact chunks and serial batches: each shard maintains its own silent
-// mass over its own census, and epoch-boundary migration lands through
-// censusAdd, which invalidates the shard's reactive structures before
-// mutating the census.
+// exact chunks: each shard maintains its own silent mass over its own
+// census, and epoch-boundary migration lands through censusAdd, which
+// invalidates the shard's reactive structures before mutating the census.
 func (e *ShardedCountsEngine[S]) SetBatchPolicy(p BatchPolicy) {
 	for _, sub := range e.subs {
 		sub.Policy = p

@@ -30,8 +30,12 @@ import (
 
 // schemaVersion is folded into every key hash; bump it whenever the
 // meaning of a key field or the envelope layout changes, so stale entries
-// from older binaries miss instead of deserializing wrongly.
-const schemaVersion = 1
+// from older binaries miss instead of deserializing wrongly. Version 2:
+// counts batches no longer prune globally silent columns, so serial
+// batches of protocols with such columns (epidemic, gsu19) consume
+// randomness differently and a version-1 entry no longer equals a fresh
+// run under the same key.
+const schemaVersion = 2
 
 // Key identifies one cached computation. Every field that influences the
 // simulated trajectory or its observation must appear here; two runs with

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -209,10 +210,11 @@ func TestVersionMismatchRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tampered := strings.Replace(string(data), `"version":1`, `"version":99`, 1)
-	if tampered == string(data) {
-		t.Fatal("could not rewrite version field")
+	loc := regexp.MustCompile(`"version":\d+`).FindIndex(data)
+	if loc == nil {
+		t.Fatal("could not find version field")
 	}
+	tampered := string(data[:loc[0]]) + `"version":99` + string(data[loc[1]:])
 	if err := os.WriteFile(path, []byte(tampered), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -24,11 +24,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"text/tabwriter"
 
 	"popelect"
+	"popelect/internal/cli"
 	"popelect/internal/core"
 	"popelect/internal/protocols"
 	"popelect/internal/rng"
@@ -37,33 +36,22 @@ import (
 )
 
 func main() {
+	fl := cli.Bind(flag.CommandLine, cli.Defaults{Seed: 1, Trials: 1, Usage: map[string]string{
+		"probe-interval": "record a census sample (leaders, occupied states) every N interactions; works on every backend",
+	}})
 	var (
 		n         = flag.Int("n", 10000, "population size")
 		alg       = flag.String("alg", "gsu19", "protocol name from the registry, or 'list' to print it")
-		seed      = flag.Uint64("seed", 1, "PRNG seed")
-		gamma     = flag.Int("gamma", 0, "phase clock resolution Γ (0 = derived Γ(n): next even ≥ 2·log₂ n, floor 36)")
 		phi       = flag.Int("phi", 0, "coin level cap Φ (0 = default)")
 		psi       = flag.Int("psi", 0, "drag range Ψ (0 = default)")
-		trials    = flag.Int("trials", 1, "number of independent runs")
-		backend   = flag.String("backend", "dense", "simulation backend: dense, counts or auto (counts scales to n=10⁸–10⁹ but reports no leader agent id)")
-		batch     = flag.String("batch", "auto", "counts-backend batch policy: auto, adaptive, exact, or a fixed batch length")
-		batchEps  = flag.Float64("batch-eps", 0, "adaptive batch controller drift bound ε (0 = default)")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "counts-backend sampling shards per batch (fixed value ⇒ byte-identical runs per seed on any machine; 1 = serial)")
-		shards    = flag.Int("shards", 0, "partition the population into K sub-censuses advanced concurrently with epoch-boundary migration (≤1 = single census; requires an enumerable protocol)")
-		migration = flag.Float64("migration", -1, "sharded per-agent per-epoch migration probability λ (-1 = fidelity default, 0 = isolated shards; requires -shards ≥ 2)")
-		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof   = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		verbose   = flag.Bool("v", false, "print a census timeline (gsu19 only; forces the dense backend)")
-		probe     = flag.Uint64("probe-interval", 0, "record a census sample (leaders, occupied states) every N interactions; works on every backend")
+		verbose   = flag.Bool("v", false, "print a census timeline (gsu19 on the dense backend only)")
 		series    = flag.String("series", "", "write the recorded census timeline as CSV to this path (requires -probe-interval)")
-		churn     = flag.String("churn", "", "population churn spec: RATE or LEAVE:JOIN per-interaction rates, optional @UNTIL step (e.g. 2.5e-3:8.3e-4@3e6)")
-		corrupt   = flag.String("corrupt", "", "state corruption spec: K@STEP scrambles K uniformly chosen agents once at STEP, or RATE[@UNTIL] scrambles continuously")
-		bias      = flag.String("bias", "", "scheduler bias spec: CLASS=WEIGHT,... non-uniform interaction weights per census class (dense/counts only)")
 		ckpt      = flag.String("checkpoint", "", "snapshot the engine to this file (atomically) about every -checkpoint-every interactions; trials > 1 append a .trialT suffix")
 		ckptEvery = flag.Uint64("checkpoint-every", 0, "checkpoint cadence in interactions (0 with -checkpoint = n)")
 		resume    = flag.Bool("resume", false, "restore from the -checkpoint file before running; a missing file starts fresh, so a killed run can be relaunched with the same command line and finishes byte-identically")
 	)
-	flag.Parse()
+	_, stop := fl.Parse("leaderelect")
+	defer stop()
 
 	if *alg == "list" {
 		printRegistry(*n)
@@ -74,69 +62,29 @@ func main() {
 		fmt.Fprintf(os.Stderr, "leaderelect: unknown protocol %q (try -alg list)\n", *alg)
 		os.Exit(2)
 	}
-	if _, err := sim.ParseBackend(*backend); err != nil {
-		fmt.Fprintln(os.Stderr, "leaderelect:", err)
-		os.Exit(2)
-	}
-	if _, err := sim.ParseBatchPolicy(*batch); err != nil {
-		fmt.Fprintln(os.Stderr, "leaderelect:", err)
-		os.Exit(2)
-	}
-	if _, err := sim.ParsePerturbations(*churn, *corrupt, *bias); err != nil {
-		fmt.Fprintln(os.Stderr, "leaderelect:", err)
-		os.Exit(2)
-	}
-	if *series != "" && *probe == 0 {
-		fmt.Fprintln(os.Stderr, "leaderelect: -series requires -probe-interval")
-		os.Exit(2)
-	}
-	if *migration >= 0 && *shards < 2 {
-		fmt.Fprintln(os.Stderr, "leaderelect: -migration requires -shards ≥ 2")
-		os.Exit(2)
-	}
-	if (*resume || *ckptEvery > 0) && *ckpt == "" {
-		fmt.Fprintln(os.Stderr, "leaderelect: -resume/-checkpoint-every require -checkpoint")
-		os.Exit(2)
-	}
-	if *ckpt != "" && *verbose {
-		fmt.Fprintln(os.Stderr, "leaderelect: -v and -checkpoint are mutually exclusive")
-		os.Exit(2)
-	}
-	if *cpuprof != "" {
-		f, err := os.Create(*cpuprof)
+	usageErr := func(err error) {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "leaderelect:", err)
 			os.Exit(2)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "leaderelect:", err)
-			os.Exit(2)
+	}
+	if *series != "" && fl.Probe == 0 {
+		usageErr(fmt.Errorf("-series requires -probe-interval"))
+	}
+	if (*resume || *ckptEvery > 0) && *ckpt == "" {
+		usageErr(fmt.Errorf("-resume/-checkpoint-every require -checkpoint"))
+	}
+	if *verbose {
+		// The verbose path runs gsu19 once on the dense runner and prints
+		// its own timeline: every flag it would silently drop is an error.
+		if *alg != "gsu19" {
+			usageErr(fmt.Errorf("-v requires -alg gsu19"))
 		}
-		defer pprof.StopCPUProfile()
+		usageErr(fl.Exclusive("v", "backend", "batch", "batch-eps", "workers", "shards", "migration",
+			"trials", "churn", "corrupt", "bias", "probe-interval", "series", "checkpoint"))
 	}
-	if *memprof != "" {
-		defer func() {
-			f, err := os.Create(*memprof)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "leaderelect:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize up-to-date allocation statistics
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "leaderelect:", err)
-			}
-		}()
-	}
-	if *verbose && (*probe > 0 || *series != "") {
-		// The verbose path prints its own dense-only timeline and would
-		// silently drop the probe flags; make the conflict explicit.
-		fmt.Fprintln(os.Stderr, "leaderelect: -v and -probe-interval/-series are mutually exclusive")
-		os.Exit(2)
-	}
-
-	if *verbose && *alg == "gsu19" {
-		if err := runVerbose(*n, *seed, *gamma, *phi, *psi); err != nil {
+	if *verbose {
+		if err := runVerbose(*n, fl.Seed, fl.Gamma, *phi, *psi); err != nil {
 			fmt.Fprintln(os.Stderr, "leaderelect:", err)
 			os.Exit(1)
 		}
@@ -144,34 +92,18 @@ func main() {
 	}
 
 	loggedWorkers := false
-	for t := 0; t < *trials; t++ {
-		opts := []popelect.Option{popelect.WithSeed(*seed + uint64(t)), popelect.WithBackend(*backend),
-			popelect.WithBatchPolicy(*batch), popelect.WithBatchEps(*batchEps),
-			popelect.WithWorkers(*workers)}
-		if *shards > 1 {
-			opts = append(opts, popelect.WithShards(*shards))
-			if *migration >= 0 {
-				opts = append(opts, popelect.WithMigrationRate(*migration))
-			}
-		}
-		if *gamma != 0 {
-			opts = append(opts, popelect.WithGamma(*gamma))
-		}
-		if *phi != 0 {
-			opts = append(opts, popelect.WithPhi(*phi))
-		}
-		if *psi != 0 {
-			opts = append(opts, popelect.WithPsi(*psi))
-		}
-		if *probe > 0 {
-			opts = append(opts, popelect.WithCensusTimeline(*probe))
-		}
-		if *churn != "" || *corrupt != "" || *bias != "" {
-			opts = append(opts, popelect.WithScenario(*churn, *corrupt, *bias))
+	for t := 0; t < fl.Trials; t++ {
+		opts := []popelect.Option{popelect.WithSeed(fl.Seed + uint64(t)), popelect.WithBackend(fl.Backend),
+			popelect.WithBatchPolicy(fl.Batch), popelect.WithBatchEps(fl.BatchEps),
+			popelect.WithWorkers(fl.Workers), popelect.WithShards(fl.Shards),
+			popelect.WithGamma(fl.Gamma), popelect.WithPhi(*phi), popelect.WithPsi(*psi),
+			popelect.WithCensusTimeline(fl.Probe), popelect.WithScenario(fl.Churn, fl.Corrupt, fl.Bias)}
+		if fl.Migration >= 0 {
+			opts = append(opts, popelect.WithMigrationRate(fl.Migration))
 		}
 		if *ckpt != "" {
 			path := *ckpt
-			if *trials > 1 {
+			if fl.Trials > 1 {
 				path = fmt.Sprintf("%s.trial%d", path, t)
 			}
 			every := *ckptEvery
@@ -194,14 +126,14 @@ func main() {
 			fmt.Fprintln(os.Stderr, "leaderelect:", err)
 			os.Exit(1)
 		}
-		if !loggedWorkers && (*workers > 1 || *shards > 1) {
+		if !loggedWorkers && (fl.Workers > 1 || fl.Shards > 1) {
 			// The engine clamps its fan-out to the census width (and short
 			// batches run serially), so the realized concurrency can sit
 			// well below the request — report it once so capacity numbers
 			// aren't misread.
-			requested := *workers
-			if *shards > 1 {
-				requested *= *shards
+			requested := fl.Workers
+			if fl.Shards > 1 {
+				requested *= fl.Shards
 			}
 			fmt.Fprintf(os.Stderr, "leaderelect: effective workers %d (requested %d)\n",
 				res.EffectiveWorkers, requested)
@@ -211,7 +143,7 @@ func main() {
 			printTimeline(res.Timeline, *n)
 			if *series != "" {
 				path := *series
-				if *trials > 1 {
+				if fl.Trials > 1 {
 					path = fmt.Sprintf("%s.trial%d", path, t)
 				}
 				if err := writeTimelineCSV(path, res.Timeline); err != nil {

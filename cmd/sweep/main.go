@@ -18,11 +18,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"slices"
 	"text/tabwriter"
 
+	"popelect/internal/cli"
 	"popelect/internal/core"
 	"popelect/internal/phaseclock"
 	"popelect/internal/sim"
@@ -31,88 +30,23 @@ import (
 )
 
 func main() {
+	fl := cli.Bind(flag.CommandLine, cli.Defaults{Seed: 1, Trials: 5, Usage: map[string]string{
+		"trials":         "trials per setting",
+		"gamma":          "phase-clock resolution Γ override while sweeping phi/psi (0 = derived Γ(n); ignored by -what gamma)",
+		"probe-interval": "census-probe cadence for trajectory recording (0 = n/4)",
+	}})
 	var (
-		what      = flag.String("what", "gamma", "parameter to sweep: gamma, phi, psi")
-		n         = flag.Int("n", 4096, "population size")
-		trials    = flag.Int("trials", 5, "trials per setting")
-		seed      = flag.Uint64("seed", 1, "base seed")
-		backend   = flag.String("backend", "dense", "simulation backend: dense, counts or auto")
-		batch     = flag.String("batch", "auto", "counts-backend batch policy: auto, adaptive, exact, or a fixed batch length")
-		batchEps  = flag.Float64("batch-eps", 0, "adaptive batch controller drift bound ε (0 = default)")
-		gamma     = flag.Int("gamma", 0, "phase-clock resolution Γ override while sweeping phi/psi (0 = derived Γ(n); ignored by -what gamma)")
-		probe     = flag.Uint64("probe-interval", 0, "census-probe cadence for trajectory recording (0 = n/4)")
-		sdir      = flag.String("series-dir", "", "write a mean leader-count trajectory CSV per swept value into this directory")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "worker bound: concurrent trials, and sampling shards inside each counts engine")
-		shards    = flag.Int("shards", 0, "run each trial on K concurrently-advanced sub-censuses with epoch migration (≤1 = single census)")
-		migration = flag.Float64("migration", -1, "sharded per-agent per-epoch migration probability λ (-1 = fidelity default, 0 = isolated shards; requires -shards ≥ 2)")
-		churn     = flag.String("churn", "", "population churn spec: RATE or LEAVE:JOIN per-interaction rates, optional @UNTIL step")
-		corrupt   = flag.String("corrupt", "", "state corruption spec: K@STEP one-shot scramble, or RATE[@UNTIL]")
-		bias      = flag.String("bias", "", "scheduler bias spec: CLASS=WEIGHT,... per census class (dense/counts only)")
-		storeDir  = flag.String("store", "", "content-addressed result store directory: sweep cells already computed under the same key (parameters, n, trials, seed, backend, policy) are reused instead of re-simulated")
-		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof   = flag.String("memprofile", "", "write a heap profile to this file at exit")
+		what     = flag.String("what", "gamma", "parameter to sweep: gamma, phi, psi")
+		n        = flag.Int("n", 4096, "population size")
+		sdir     = flag.String("series-dir", "", "write a mean leader-count trajectory CSV per swept value into this directory")
+		storeDir = flag.String("store", "", "content-addressed result store directory: sweep cells already computed under the same key (parameters, n, trials, seed, run spec) are reused instead of re-simulated")
 	)
-	flag.Parse()
+	spec, stop := fl.Parse("sweep")
+	defer stop()
 
-	if *cpuprof != "" {
-		f, err := os.Create(*cpuprof)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			os.Exit(2)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			os.Exit(2)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprof != "" {
-		defer func() {
-			f, err := os.Create(*memprof)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "sweep:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize up-to-date allocation statistics
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "sweep:", err)
-			}
-		}()
-	}
-
-	be, err := sim.ParseBackend(*backend)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(2)
-	}
-	bp, err := sim.ParseBatchPolicy(*batch)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(2)
-	}
-	bp.Eps = *batchEps
-	if *migration >= 0 && *shards < 2 {
-		fmt.Fprintln(os.Stderr, "sweep: -migration requires -shards ≥ 2")
-		os.Exit(2)
-	}
-	// Flag convention: -1 = engine default, 0 = isolated. TrialConfig
-	// convention (zero-value friendly): 0 = engine default, negative =
-	// isolated.
-	tcMigration := 0.0
-	switch {
-	case *migration > 0:
-		tcMigration = *migration
-	case *migration == 0:
-		tcMigration = -1
-	}
-	perturb, err := sim.ParsePerturbations(*churn, *corrupt, *bias)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(2)
-	}
 	var st *store.Store
 	if *storeDir != "" {
+		var err error
 		st, err = store.Open(*storeDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "sweep:", err)
@@ -142,7 +76,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	every := *probe
+	every := fl.Probe
 	if every == 0 {
 		every = uint64(*n) / 4
 		if every == 0 {
@@ -155,8 +89,8 @@ func main() {
 	lnn := math.Log(float64(*n))
 	for _, v := range values {
 		params := core.DefaultParams(*n)
-		if *gamma != 0 && *what != "gamma" {
-			params.Gamma = *gamma
+		if fl.Gamma != 0 && *what != "gamma" {
+			params.Gamma = fl.Gamma
 		}
 		mutate(&params, v)
 		pr, err := core.New(params)
@@ -167,7 +101,7 @@ func main() {
 		// When trajectories are requested, record a per-trial leader-count
 		// series through the probe pipeline and aggregate across trials.
 		var probes []sim.TrialProbe[core.State]
-		perTrial := make([]*stats.Series, *trials)
+		perTrial := make([]*stats.Series, fl.Trials)
 		if *sdir != "" {
 			for i := range perTrial {
 				perTrial[i] = stats.NewSeries("leaders", 0)
@@ -185,16 +119,9 @@ func main() {
 		// trajectories and their observation. A hit substitutes stored
 		// results (and, when trajectories are requested, stored per-trial
 		// series) for the simulation.
-		extra := fmt.Sprintf("%s=%d", *what, v)
-		if perturb != nil {
-			// The perturbation changes the trajectory law, so its full
-			// fingerprint is part of the cache identity.
-			extra += ";" + perturb.Fingerprint()
-		}
-		resKey := store.Key{Kind: "sweep", Protocol: "gsu19", N: *n, Trials: *trials,
-			Seed: *seed + uint64(v), Backend: string(be), Batch: bp.String(),
-			Workers: *workers, Shards: *shards, Migration: tcMigration,
-			Gamma: *gamma, Extra: extra}
+		tc := sim.TrialConfig{Spec: spec, Trials: fl.Trials, Seed: fl.Seed + uint64(v), Pool: fl.Workers}
+		resKey := store.Key{Kind: "sweep", Protocol: "gsu19", N: *n, Trials: tc.Trials, Seed: tc.Seed,
+			Spec: spec.Encode(), Gamma: fl.Gamma, Extra: fmt.Sprintf("%s=%d", *what, v)}
 		serKey := resKey
 		serKey.Kind = "sweep-series"
 		serKey.ProbeEvery = every
@@ -214,17 +141,14 @@ func main() {
 					fmt.Fprintln(os.Stderr, "sweep:", err)
 					os.Exit(1)
 				}
-				if hit2 && len(cser) == *trials {
+				if hit2 && len(cser) == fl.Trials {
 					copy(perTrial, cser)
 					rs, cached = crs, true
 				}
 			}
 		}
 		if !cached {
-			rs, err = sim.RunTrialsProbed[core.State, *core.Protocol](func(int) *core.Protocol { return pr },
-				sim.TrialConfig{Trials: *trials, Seed: *seed + uint64(v), Backend: be, Batch: bp,
-					Workers: *workers, EngineWorkers: *workers,
-					Shards: *shards, Migration: tcMigration, Perturb: perturb}, probes...)
+			rs, err = sim.RunTrialsProbed[core.State, *core.Protocol](func(int) *core.Protocol { return pr }, tc, probes...)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "sweep:", err)
 				os.Exit(1)

@@ -72,7 +72,7 @@ func TestCompletionScaling(t *testing.T) {
 	}
 	var ratios []float64
 	for _, n := range []int{1 << 10, 1 << 12, 1 << 14} {
-		cfg := sim.TrialConfig{Trials: 10, Seed: uint64(n), Workers: 0}
+		cfg := sim.TrialConfig{Trials: 10, Seed: uint64(n), Pool: 0}
 		rs := simtest.MustTrials(t)(sim.RunTrials[uint32, *Protocol](func(int) *Protocol {
 			p, _ := New(n, 1)
 			return p

@@ -59,7 +59,8 @@ func BiasSweep(cfg Config) []*Table {
 	}
 
 	denseRes := mustRun(cachedTrials[uint32, *gs18.Protocol](cfg, "biassweep", "gs18", n, factory, sim.TrialConfig{
-		Trials: cfg.Trials, Seed: cfg.Seed + 41, Workers: cfg.Workers, EngineWorkers: cfg.EngineWorkers, Backend: sim.BackendDense,
+		Trials: cfg.Trials, Seed: cfg.Seed + 41, Pool: cfg.Pool,
+		Spec: sim.Spec{Backend: sim.BackendDense, Workers: cfg.Workers},
 	}))
 	denseTimes := sim.ParallelTimes(denseRes)
 	denseMean, denseHW := stats.MeanCI(denseTimes, 1.96)
@@ -76,8 +77,8 @@ func BiasSweep(cfg Config) []*Table {
 		f2(denseMean), f2(denseHW), "", ""})
 	for _, p := range biasPolicies(n) {
 		rs := mustRun(cachedTrials[uint32, *gs18.Protocol](cfg, "biassweep", "gs18", n, factory, sim.TrialConfig{
-			Trials: countsTrials, Seed: cfg.Seed + 43, Workers: cfg.Workers, EngineWorkers: cfg.EngineWorkers,
-			Backend: sim.BackendCounts, Batch: p.policy,
+			Trials: countsTrials, Seed: cfg.Seed + 43, Pool: cfg.Pool,
+			Spec: sim.Spec{Backend: sim.BackendCounts, Batch: p.policy, Workers: cfg.Workers},
 		}))
 		times := sim.ParallelTimes(rs)
 		mean := stats.Mean(times)

@@ -125,12 +125,9 @@ func ClockSpan(cfg Config) []*Table {
 // its phase in the low byte (Entry.Clocked).
 func clockSpanRun(cfg Config, inst protocols.Instance, gamma, trial int) (sim.Result, int, int) {
 	n := inst.N()
-	eng, err := inst.Engine(rng.NewStream(cfg.Seed+53, uint64(n)+uint64(trial)), sim.BackendCounts)
-	if err != nil {
-		panic(err)
-	}
-	applyBatch(eng, cfg)
-	eng.SetBudget(clockSpanBudget * uint64(n))
+	spec := cfg.engineSpec(sim.BackendCounts)
+	spec.Budget = clockSpanBudget * uint64(n)
+	eng := mustEngine(inst.Build(rng.NewStream(cfg.Seed+53, uint64(n)+uint64(trial)), spec))
 	meter := phaseclock.NewSpanMeter(gamma)
 	probe := func(step uint64, v protocols.Census) {
 		meter.Begin()

@@ -25,7 +25,7 @@ func Figure1(cfg Config) []*Table {
 	cums := make([][]int, cfg.Trials)
 	rs := mustRun(sim.RunTrialsProbed[core.State, *core.Protocol](
 		func(int) *core.Protocol { return pr },
-		sim.TrialConfig{Trials: cfg.Trials, Seed: cfg.Seed, Workers: cfg.Workers, EngineWorkers: cfg.EngineWorkers, Backend: cfg.Backend, Batch: cfg.Batch, Perturb: cfg.Perturb},
+		cfg.trialConfig(cfg.Trials, cfg.Seed),
 		sim.TrialProbe[core.State]{Make: func(trial int) sim.Probe[core.State] {
 			return func(step uint64, v sim.CensusView[core.State]) {
 				cums[trial] = pr.CumulativeCoinCensusOf(v.VisitStates)
@@ -118,7 +118,7 @@ func trackStages(pr *core.Protocol, eng sim.Engine, every uint64) *stageTrack {
 // runWithStageTracking executes one run recording stage entries and drag
 // first-attainment times through the probe pipeline.
 func runWithStageTracking(pr *core.Protocol, seed uint64, cfg Config) (map[int]stageRecord, map[int]uint64, sim.Result) {
-	eng := applyBatch(mustEngine(sim.NewEngine[core.State, *core.Protocol](pr, rng.New(seed), cfg.Backend)), cfg)
+	eng := mustEngine(sim.Build[core.State](pr, rng.New(seed), cfg.engineSpec(cfg.Backend)))
 	st := trackStages(pr, eng, probeEvery(cfg, pr.N()))
 	res := eng.Run()
 	return st.stages, st.dragFirst, res
@@ -189,8 +189,7 @@ func Figure3(cfg Config) []*Table {
 		// Run to convergence, then keep going: the surviving active
 		// candidate continues flipping level-0 coins and ticking the
 		// drag counter, so T_ℓ is measurable well past drag 1.
-		eng := applyBatch(mustEngine(sim.NewEngine[core.State, *core.Protocol](
-			pr, rng.New(cfg.Seed+uint64(trial)*104729), cfg.Backend)), cfg)
+		eng := mustEngine(sim.Build[core.State](pr, rng.New(cfg.Seed+uint64(trial)*104729), cfg.engineSpec(cfg.Backend)))
 		st := trackStages(pr, eng, probeEvery(cfg, n))
 		res := eng.Run()
 		if !res.Converged {

@@ -54,15 +54,12 @@ func ParScale(cfg Config) []*Table {
 		}
 		base := 0.0
 		for _, w := range parScaleWorkers {
-			eng, err := sim.NewEngine[uint32, *gs18.Protocol](
-				gs18.MustNew(gs18Params(cfg, n)), trialSource(cfg, w), sim.BackendCounts)
+			spec := cfg.engineSpec(sim.BackendCounts)
+			spec.Workers = w
+			eng, err := sim.Build[uint32](gs18.MustNew(gs18Params(cfg, n)), trialSource(cfg, w), spec)
 			if err != nil {
 				t.AddRow(d(n), d(w), "—", "engine error: "+err.Error(), "—", "—", "—")
 				continue
-			}
-			applyBatch(eng, cfg)
-			if wc, ok := eng.(sim.WorkerConfigurable); ok {
-				wc.SetWorkers(w)
 			}
 			eng.RunSteps(slab / 8) // past the initial ramp
 			mps := make([]float64, 0, reps)

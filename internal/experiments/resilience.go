@@ -133,20 +133,8 @@ func Resilience(cfg Config) []*Table {
 func resilienceRun(cfg Config, inst protocols.Instance, batch sim.BatchPolicy, gamma int, p sim.Perturbation, scenario uint64) (sim.Result, int, float64) {
 	n := inst.N()
 	src := rng.NewStream(cfg.Seed+61, uint64(n)*8+scenario)
-	eng, err := inst.Engine(src, sim.BackendCounts)
-	if err != nil {
-		panic(err)
-	}
-	eng.(sim.BatchConfigurable).SetBatchPolicy(batch)
-	if cfg.EngineWorkers > 1 {
-		eng.(sim.WorkerConfigurable).SetWorkers(cfg.EngineWorkers)
-	}
-	if p != nil {
-		if err := eng.(sim.Perturbable).SetPerturbation(p); err != nil {
-			panic(err)
-		}
-	}
-	eng.SetBudget(resilienceBudget * uint64(n))
+	eng := mustEngine(inst.Build(src, sim.Spec{Backend: sim.BackendCounts, Batch: batch,
+		Workers: cfg.Workers, Budget: resilienceBudget * uint64(n), Perturb: p}))
 	var meter *phaseclock.SpanMeter
 	if gamma > 0 {
 		meter = phaseclock.NewSpanMeter(gamma)

@@ -62,12 +62,13 @@ func runScaleRow(t *Table, name string, n, trials int, cfg Config, inst protocol
 	var distinct int
 	start := time.Now()
 	for tr := 0; tr < trials; tr++ {
-		eng, err := buildEngine(inst, trialSource(cfg, tr), sim.BackendCounts, cfg)
+		eng, err := inst.Build(trialSource(cfg, tr), sim.Spec{Backend: sim.BackendCounts,
+			Batch: cfg.Batch, Workers: cfg.Workers, Shards: cfg.Shards, Migration: cfg.Migration})
 		if err != nil {
 			t.AddRow(d(n), name, "engine error: "+err.Error(), "—", "—", "—", "—")
 			return
 		}
-		res := applyWorkers(applyBatch(eng, cfg), cfg).Run()
+		res := eng.Run()
 		if res.Converged {
 			conv++
 		}

@@ -46,12 +46,11 @@ func ScaleFigures(cfg Config) []*Table {
 // with a trajectory probe attached and appends its summary row.
 func scaleFigRow[S comparable, P sim.Protocol[S]](t *Table, cfg Config, alg string, pr P, every uint64) {
 	n := pr.N()
-	eng, err := sim.NewEngine[S, P](pr, trialSource(cfg, 0), sim.BackendCounts)
+	eng, err := sim.Build[S](pr, trialSource(cfg, 0), sim.Spec{Backend: sim.BackendCounts, Batch: cfg.Batch, Workers: cfg.Workers})
 	if err != nil {
 		t.AddRow(d(n), alg, "config error: "+err.Error(), "—", "—", "—", "—", "—")
 		return
 	}
-	applyWorkers(applyBatch(eng, cfg), cfg)
 	col := stats.NewCollector(0, "leaders", "occupied_states")
 	peakOccupied := 0
 	record := func(step uint64, v sim.CensusView[S]) {

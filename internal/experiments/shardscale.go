@@ -133,27 +133,16 @@ func ShardScale(cfg Config) []*Table {
 func shardScaleRun(cfg Config, inst protocols.Instance, batch sim.BatchPolicy, gamma, shards int, lambda float64) (sim.Result, int, float64, int) {
 	n := inst.N()
 	src := rng.NewStream(cfg.Seed+59, uint64(n)+uint64(16*shards)+uint64(1e6*lambda))
-	var eng sim.Engine
-	var err error
-	if shards > 1 {
-		if eng, err = inst.ShardedEngine(src, shards); err == nil {
-			eng.(sim.ShardConfigurable).SetMigrationRate(lambda)
-		}
-	} else {
-		eng, err = inst.Engine(src, sim.BackendCounts)
-	}
-	if err != nil {
-		panic(err)
-	}
-	eng.(sim.BatchConfigurable).SetBatchPolicy(batch)
-	if cfg.EngineWorkers > 1 {
-		eng.(sim.WorkerConfigurable).SetWorkers(cfg.EngineWorkers)
-	}
 	budget := uint64(shardScaleBudget)
 	if n >= shardScaleLargeN {
 		budget = shardScaleLargeBudget
 	}
-	eng.SetBudget(budget * uint64(n))
+	spec := sim.Spec{Backend: sim.BackendCounts, Batch: batch, Workers: cfg.Workers,
+		Shards: shards, Migration: lambda, Budget: budget * uint64(n)}
+	if lambda == 0 {
+		spec.Migration = -1 // isolated shards
+	}
+	eng := mustEngine(inst.Build(src, spec))
 	meter := phaseclock.NewSpanMeter(gamma)
 	probe := func(step uint64, v protocols.Census) {
 		meter.Begin()

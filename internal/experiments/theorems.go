@@ -32,8 +32,7 @@ func Theorem32(cfg Config) []*Table {
 		if err != nil {
 			continue
 		}
-		eng := applyBatch(mustEngine(sim.NewEngine[uint32, *phaseclock.Standalone](
-			c, rng.New(cfg.Seed+5), sim.BackendAuto)), cfg)
+		eng := mustEngine(sim.Build[uint32](c, rng.New(cfg.Seed+5), cfg.engineSpec(sim.BackendAuto)))
 		nln := float64(n) * math.Log(float64(n))
 		total := uint64(30 * nln)
 		sample := uint64(n)
@@ -81,7 +80,7 @@ func Theorem82(cfg Config) []*Table {
 	for _, n := range cfg.Sizes {
 		pr := core.MustNew(coreParams(cfg, n))
 		rs := mustRun(cachedTrials[core.State, *core.Protocol](cfg, "thm82", "gsu19", n, func(int) *core.Protocol { return pr },
-			sim.TrialConfig{Trials: cfg.Trials, Seed: cfg.Seed + 6 + uint64(n), Workers: cfg.Workers, EngineWorkers: cfg.EngineWorkers, Backend: cfg.Backend, Batch: cfg.Batch, Perturb: cfg.Perturb}))
+			cfg.trialConfig(cfg.Trials, cfg.Seed+6+uint64(n))))
 		ok := 0
 		for _, res := range rs {
 			if res.Converged && res.Leaders == 1 {
@@ -128,7 +127,7 @@ func Epidemic(cfg Config) []*Table {
 			continue
 		}
 		rs := mustRun(cachedTrials[uint32, *epidemic.Protocol](cfg, "epidemic", "epidemic", n, func(int) *epidemic.Protocol { return p },
-			sim.TrialConfig{Trials: cfg.Trials, Seed: cfg.Seed + 7, Workers: cfg.Workers, EngineWorkers: cfg.EngineWorkers, Backend: cfg.Backend, Batch: cfg.Batch, Perturb: cfg.Perturb}))
+			cfg.trialConfig(cfg.Trials, cfg.Seed+7)))
 		if !sim.AllConverged(rs) {
 			continue
 		}
@@ -173,7 +172,7 @@ func Ablation(cfg Config) []*Table {
 			v.mutate(&params)
 			pr := core.MustNew(params)
 			rs := mustRun(cachedTrials[core.State, *core.Protocol](cfg, "ablation", "gsu19/"+v.name, n, func(int) *core.Protocol { return pr },
-				sim.TrialConfig{Trials: cfg.Trials, Seed: cfg.Seed + 8 + uint64(n), Workers: cfg.Workers, EngineWorkers: cfg.EngineWorkers, Backend: cfg.Backend, Batch: cfg.Batch, Perturb: cfg.Perturb}))
+				cfg.trialConfig(cfg.Trials, cfg.Seed+8+uint64(n))))
 			if !sim.AllConverged(rs) {
 				t.AddRow(v.name, d(n), "timeout in "+d(len(rs)-sim.ConvergedCount(rs))+" trials", "—", "—", "—")
 				continue

@@ -277,13 +277,13 @@ func TestCountsBackendMatchesLegacyAtScale(t *testing.T) {
 	p := DefaultParams(n)
 	newRes, err := sim.RunTrials[uint32, *Protocol](
 		func(int) *Protocol { return MustNew(p) },
-		sim.TrialConfig{Trials: trials, Seed: 99, Backend: sim.BackendCounts})
+		sim.TrialConfig{Trials: trials, Seed: 99, Spec: sim.Spec{Backend: sim.BackendCounts}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	legacyRes, err := sim.RunTrials[uint32, *legacyProtocol](
 		func(int) *legacyProtocol { return newLegacy(p) },
-		sim.TrialConfig{Trials: trials, Seed: 99, Backend: sim.BackendCounts})
+		sim.TrialConfig{Trials: trials, Seed: 99, Spec: sim.Spec{Backend: sim.BackendCounts}})
 	if err != nil {
 		t.Fatal(err)
 	}

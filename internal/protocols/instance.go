@@ -64,9 +64,13 @@ type Instance interface {
 	// (sim.NewEngine under the erasure).
 	Engine(src *rng.Source, b sim.Backend) (sim.Engine, error)
 
+	// Build creates and configures the engine a run spec selects
+	// (sim.Build under the erasure).
+	Build(src *rng.Source, spec sim.Spec) (sim.Engine, error)
+
 	// ShardedEngine creates a sharded counts engine with the given shard
 	// count in fidelity mode (sim.NewShardedCountsEngine under the
-	// erasure); configure scenario mode through sim.ShardConfigurable. It
+	// erasure); Build with a sim.Spec configures scenario mode. It
 	// fails for non-enumerable protocols.
 	ShardedEngine(src *rng.Source, shards int) (sim.Engine, error)
 
@@ -113,6 +117,10 @@ func (in *instance[S, P]) N() int       { return in.proto.N() }
 
 func (in *instance[S, P]) Engine(src *rng.Source, b sim.Backend) (sim.Engine, error) {
 	return sim.NewEngine[S, P](in.proto, src, b)
+}
+
+func (in *instance[S, P]) Build(src *rng.Source, spec sim.Spec) (sim.Engine, error) {
+	return sim.Build[S](in.proto, src, spec)
 }
 
 func (in *instance[S, P]) ShardedEngine(src *rng.Source, shards int) (sim.Engine, error) {

@@ -256,12 +256,18 @@ func TestCrossBackendConvergenceKS(t *testing.T) {
 	p := DefaultParams(n)
 	factory := func(int) *Protocol { return MustNew(p) }
 	denseRes, err := sim.RunTrials[uint32, *Protocol](factory, sim.TrialConfig{
-		Trials: trials, Seed: 404, Backend: sim.BackendDense})
+		Trials: trials,
+		Seed:   404,
+		Spec:   sim.Spec{Backend: sim.BackendDense},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	countsRes, err := sim.RunTrials[uint32, *Protocol](factory, sim.TrialConfig{
-		Trials: trials, Seed: 1405, Backend: sim.BackendCounts})
+		Trials: trials,
+		Seed:   1405,
+		Spec:   sim.Spec{Backend: sim.BackendCounts},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -195,7 +195,7 @@ func TestTrialsAndProbesErased(t *testing.T) {
 			t.Fatalf("trial %d: probe never fired", i)
 		}
 	}
-	crs, err := inst.Trials(sim.TrialConfig{Trials: 2, Seed: 6, Backend: sim.BackendCounts})
+	crs, err := inst.Trials(sim.TrialConfig{Trials: 2, Seed: 6, Spec: sim.Spec{Backend: sim.BackendCounts}})
 	if err != nil {
 		t.Fatal(err)
 	}

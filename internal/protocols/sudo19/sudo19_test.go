@@ -73,12 +73,18 @@ func TestCrossBackendConvergenceKS(t *testing.T) {
 	p := DefaultParams(n)
 	factory := func(int) *Protocol { return MustNew(p) }
 	denseRes, err := sim.RunTrials[uint32, *Protocol](factory, sim.TrialConfig{
-		Trials: trials, Seed: 1812, Backend: sim.BackendDense})
+		Trials: trials,
+		Seed:   1812,
+		Spec:   sim.Spec{Backend: sim.BackendDense},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	countsRes, err := sim.RunTrials[uint32, *Protocol](factory, sim.TrialConfig{
-		Trials: trials, Seed: 11309, Backend: sim.BackendCounts})
+		Trials: trials,
+		Seed:   11309,
+		Spec:   sim.Spec{Backend: sim.BackendCounts},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,7 +108,9 @@ type BatchPolicy struct {
 	Eps float64
 }
 
-// String renders the policy the way ParseBatchPolicy accepts it.
+// String renders the policy for diagnostics and table notes: the mode the
+// way ParseBatchPolicy accepts it, plus a non-default ε of the adaptive
+// modes (auto applies ε to its adaptive tier).
 func (p BatchPolicy) String() string {
 	switch p.Mode {
 	case BatchFixed:
@@ -123,6 +125,9 @@ func (p BatchPolicy) String() string {
 		return "adaptive"
 	case BatchExact:
 		return "exact"
+	}
+	if p.Eps > 0 {
+		return fmt.Sprintf("auto(ε=%g)", p.Eps)
 	}
 	return "auto"
 }

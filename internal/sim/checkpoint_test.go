@@ -398,7 +398,7 @@ func TestRunTrialsCheckpointResume(t *testing.T) {
 	factory := func(int) *gs18.Protocol { return pr }
 	for _, backend := range []sim.Backend{sim.BackendDense, sim.BackendCounts} {
 		t.Run(string(backend), func(t *testing.T) {
-			base := sim.TrialConfig{Trials: 3, Seed: 21, Backend: backend}
+			base := sim.TrialConfig{Trials: 3, Seed: 21, Spec: sim.Spec{Backend: backend}}
 
 			want, err := sim.RunTrials[uint32, *gs18.Protocol](factory, base)
 			if err != nil {
@@ -410,7 +410,7 @@ func TestRunTrialsCheckpointResume(t *testing.T) {
 
 			dir := t.TempDir()
 			interrupted := base
-			interrupted.MaxInteractions = 2 * n // "crash" well before stabilization
+			interrupted.Budget = 2 * n // "crash" well before stabilization
 			interrupted.CheckpointEvery = n / 2
 			interrupted.CheckpointDir = dir
 			if _, err := sim.RunTrials[uint32, *gs18.Protocol](factory, interrupted); err != nil {
@@ -436,7 +436,8 @@ func TestRunTrialsCheckpointConfigErrors(t *testing.T) {
 	pr := gs18.MustNew(gs18.DefaultParams(64))
 	factory := func(int) *gs18.Protocol { return pr }
 	_, err := sim.RunTrials[uint32, *gs18.Protocol](factory, sim.TrialConfig{
-		Trials: 1, CheckpointEvery: 10,
+		Trials:          1,
+		CheckpointEvery: 10,
 	})
 	if err == nil || !strings.Contains(err.Error(), "CheckpointDir") {
 		t.Fatalf("want CheckpointDir error, got %v", err)

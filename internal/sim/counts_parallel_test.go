@@ -134,7 +134,9 @@ func TestCrossWorkerCountKS(t *testing.T) {
 	factory := func(int) *gs18.Protocol { return pr }
 
 	denseRes, err := sim.RunTrials[uint32, *gs18.Protocol](factory, sim.TrialConfig{
-		Trials: trials, Seed: 11, Backend: sim.BackendDense,
+		Trials: trials,
+		Seed:   11,
+		Spec:   sim.Spec{Backend: sim.BackendDense},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,9 +149,9 @@ func TestCrossWorkerCountKS(t *testing.T) {
 
 	for _, w := range []int{1, 2, 4, 8} {
 		countsRes, err := sim.RunTrials[uint32, *gs18.Protocol](factory, sim.TrialConfig{
-			Trials: trials, Seed: uint64(3000 + w), Backend: sim.BackendCounts,
-			Batch:         sim.BatchPolicy{Mode: sim.BatchAdaptive},
-			EngineWorkers: w,
+			Trials: trials,
+			Seed:   uint64(3000 + w),
+			Spec:   sim.Spec{Backend: sim.BackendCounts, Batch: sim.BatchPolicy{Mode: sim.BatchAdaptive}, Workers: w},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -90,13 +90,17 @@ func TestCrossBackendConvergenceKS(t *testing.T) {
 	factory := func(int) *gs18.Protocol { return pr }
 
 	denseRes, err := sim.RunTrials[uint32, *gs18.Protocol](factory, sim.TrialConfig{
-		Trials: trials, Seed: 2019, Backend: sim.BackendDense,
+		Trials: trials,
+		Seed:   2019,
+		Spec:   sim.Spec{Backend: sim.BackendDense},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	countsRes, err := sim.RunTrials[uint32, *gs18.Protocol](factory, sim.TrialConfig{
-		Trials: trials, Seed: 1871, Backend: sim.BackendCounts,
+		Trials: trials,
+		Seed:   1871,
+		Spec:   sim.Spec{Backend: sim.BackendCounts},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,14 +137,17 @@ func TestCrossBackendBatchModeAgrees(t *testing.T) {
 	factory := func(int) *gs18.Protocol { return pr }
 
 	denseRes, err := sim.RunTrials[uint32, *gs18.Protocol](factory, sim.TrialConfig{
-		Trials: trials, Seed: 7, Backend: sim.BackendDense,
+		Trials: trials,
+		Seed:   7,
+		Spec:   sim.Spec{Backend: sim.BackendDense},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	batchRes, err := sim.RunTrials[uint32, *gs18.Protocol](factory, sim.TrialConfig{
-		Trials: trials, Seed: 8, Backend: sim.BackendCounts,
-		Batch: sim.BatchPolicy{Mode: sim.BatchFixed, Len: n / 8},
+		Trials: trials,
+		Seed:   8,
+		Spec:   sim.Spec{Backend: sim.BackendCounts, Batch: sim.BatchPolicy{Mode: sim.BatchFixed, Len: n / 8}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -177,14 +177,17 @@ func TestUniformBiasMatchesUnbiasedLaw(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			plain, err := sim.RunTrials[uint32, *gs18.Protocol](factory, sim.TrialConfig{
-				Trials: trials, Seed: 31, Backend: tc.backend, Batch: tc.batch,
+				Trials: trials,
+				Seed:   31,
+				Spec:   sim.Spec{Backend: tc.backend, Batch: tc.batch},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			biased, err := sim.RunTrials[uint32, *gs18.Protocol](factory, sim.TrialConfig{
-				Trials: trials, Seed: 67, Backend: tc.backend, Batch: tc.batch,
-				Perturb: sim.Bias{Weights: []float64{1}},
+				Trials: trials,
+				Seed:   67,
+				Spec:   sim.Spec{Backend: tc.backend, Batch: tc.batch, Perturb: sim.Bias{Weights: []float64{1}}},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -26,7 +26,7 @@ import (
 //     global uniform scheduler that stabilization-time distributions are
 //     KS-consistent with dense ground truth (see TestShardedFidelityKS
 //     and the shardscale experiment).
-//   - Scenario mode (SetMigrationRate with a free λ, possibly 0) makes the
+//   - Scenario mode (a free λ in Migration, possibly 0) makes the
 //     clustered graph the model itself: weak inter-cluster mixing is how
 //     the derived Γ(n) phase clock is stress-tested — shards whose juntas
 //     decohere drag the aggregate bulk span past Γ/2 (the tearing
@@ -123,7 +123,7 @@ type ShardedCountsEngine[S comparable] struct {
 // magnitude faster than any protocol phase advances, which is what keeps
 // the composite law KS-consistent with the global uniform scheduler (the
 // validated bar; see the shardscale experiment). Scenario runs override it
-// freely through SetMigrationRate.
+// freely through the Migration field (sim.Spec.Migration when building).
 const DefaultMigrationRate = 0.5
 
 // DefaultShardEpoch returns the fidelity-mode epoch length for population
@@ -133,24 +133,6 @@ func DefaultShardEpoch(n int) uint64 {
 		return e
 	}
 	return 1
-}
-
-// ShardConfigurable is implemented by engines with a sharded population
-// (the sharded counts backend), letting callers that hold the type-erased
-// Engine configure the migration process without knowing the state type —
-// the sharding counterpart of BatchConfigurable.
-type ShardConfigurable interface {
-	// SetMigrationRate sets λ, the per-agent per-epoch migration
-	// probability (0 disables migration; the constructor default is
-	// DefaultMigrationRate).
-	SetMigrationRate(float64)
-
-	// SetEpochLen sets the number of interactions between migration
-	// steps (0 restores the DefaultShardEpoch default).
-	SetEpochLen(uint64)
-
-	// ShardCount reports the number of sub-censuses.
-	ShardCount() int
 }
 
 // shardProto restricts an Enumerable protocol to one shard: the population
@@ -290,18 +272,7 @@ func (e *ShardedCountsEngine[S]) EffectiveWorkers() int {
 	return len(e.subs) * inner
 }
 
-// SetMigrationRate implements ShardConfigurable.
-func (e *ShardedCountsEngine[S]) SetMigrationRate(lambda float64) { e.Migration = lambda }
-
-// SetEpochLen implements ShardConfigurable (0 restores the default).
-func (e *ShardedCountsEngine[S]) SetEpochLen(l uint64) {
-	if l == 0 {
-		l = DefaultShardEpoch(e.n)
-	}
-	e.EpochLen = l
-}
-
-// ShardCount implements ShardConfigurable.
+// ShardCount reports the number of sub-censuses.
 func (e *ShardedCountsEngine[S]) ShardCount() int { return len(e.subs) }
 
 // AddProbe implements ProbeTarget: probes observe the merged cross-shard

@@ -213,8 +213,9 @@ func TestShardedTrialConfig(t *testing.T) {
 	pr := gs18.MustNew(gs18.DefaultParams(n))
 	factory := func(int) *gs18.Protocol { return pr }
 	cfg := sim.TrialConfig{
-		Trials: 2, Seed: 77, Backend: sim.BackendCounts, Shards: 2,
-		MaxInteractions: 50_000,
+		Trials: 2,
+		Seed:   77,
+		Spec:   sim.Spec{Backend: sim.BackendCounts, Shards: 2, Budget: 50_000},
 	}
 	a, err := sim.RunTrials[uint32, *gs18.Protocol](factory, cfg)
 	if err != nil {
@@ -230,7 +231,8 @@ func TestShardedTrialConfig(t *testing.T) {
 		}
 	}
 	if _, err := sim.RunTrials[uint32, *gs18.Protocol](factory, sim.TrialConfig{
-		Trials: 1, Backend: sim.BackendDense, Shards: 2,
+		Trials: 1,
+		Spec:   sim.Spec{Backend: sim.BackendDense, Shards: 2},
 	}); err == nil {
 		t.Fatal("Shards with the dense backend must be rejected")
 	}
@@ -262,7 +264,9 @@ func TestShardedFidelityKS(t *testing.T) {
 	factory := func(int) *gs18.Protocol { return pr }
 
 	denseRes, err := sim.RunTrials[uint32, *gs18.Protocol](factory, sim.TrialConfig{
-		Trials: trials, Seed: 11, Backend: sim.BackendDense,
+		Trials: trials,
+		Seed:   11,
+		Spec:   sim.Spec{Backend: sim.BackendDense},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -275,9 +279,9 @@ func TestShardedFidelityKS(t *testing.T) {
 
 	for _, shards := range []int{2, 4} {
 		shardRes, err := sim.RunTrials[uint32, *gs18.Protocol](factory, sim.TrialConfig{
-			Trials: trials, Seed: uint64(4000 + shards), Backend: sim.BackendCounts,
-			Batch:  sim.BatchPolicy{Mode: sim.BatchAdaptive},
-			Shards: shards,
+			Trials: trials,
+			Seed:   uint64(4000 + shards),
+			Spec:   sim.Spec{Backend: sim.BackendCounts, Batch: sim.BatchPolicy{Mode: sim.BatchAdaptive}, Shards: shards},
 		})
 		if err != nil {
 			t.Fatal(err)

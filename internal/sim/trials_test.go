@@ -19,7 +19,7 @@ func mustTrials(t *testing.T) func([]Result, error) []Result {
 }
 
 func TestRunTrialsBasic(t *testing.T) {
-	cfg := TrialConfig{Trials: 16, Seed: 42, Workers: 4}
+	cfg := TrialConfig{Trials: 16, Seed: 42, Pool: 4}
 	rs := mustTrials(t)(RunTrials[uint32, duel](func(int) duel { return duel{50} }, cfg))
 	if len(rs) != 16 {
 		t.Fatalf("got %d results", len(rs))
@@ -42,8 +42,8 @@ func TestRunTrialsBasic(t *testing.T) {
 
 func TestRunTrialsReproducibleAcrossWorkerCounts(t *testing.T) {
 	mk := func(int) duel { return duel{40} }
-	a := mustTrials(t)(RunTrials[uint32, duel](mk, TrialConfig{Trials: 8, Seed: 7, Workers: 1}))
-	b := mustTrials(t)(RunTrials[uint32, duel](mk, TrialConfig{Trials: 8, Seed: 7, Workers: 8}))
+	a := mustTrials(t)(RunTrials[uint32, duel](mk, TrialConfig{Trials: 8, Seed: 7, Pool: 1}))
+	b := mustTrials(t)(RunTrials[uint32, duel](mk, TrialConfig{Trials: 8, Seed: 7, Pool: 8}))
 	for i := range a {
 		if a[i].Interactions != b[i].Interactions || a[i].LeaderID != b[i].LeaderID {
 			t.Fatalf("trial %d differs across worker counts: %+v vs %+v", i, a[i], b[i])
@@ -89,7 +89,7 @@ func TestExtractors(t *testing.T) {
 }
 
 func TestRunTrialsMaxInteractions(t *testing.T) {
-	cfg := TrialConfig{Trials: 3, Seed: 5, MaxInteractions: 4}
+	cfg := TrialConfig{Trials: 3, Seed: 5, Spec: Spec{Budget: 4}}
 	rs := mustTrials(t)(RunTrials[uint32, duel](func(int) duel { return duel{500} }, cfg))
 	for _, r := range rs {
 		if r.Converged {
@@ -102,7 +102,7 @@ func TestRunTrialsMaxInteractions(t *testing.T) {
 }
 
 func TestRunTrialsTrackStates(t *testing.T) {
-	cfg := TrialConfig{Trials: 2, Seed: 9, TrackStates: true}
+	cfg := TrialConfig{Trials: 2, Seed: 9, Spec: Spec{TrackStates: true}}
 	rs := mustTrials(t)(RunTrials[uint32, duel](func(int) duel { return duel{20} }, cfg))
 	for _, r := range rs {
 		if r.DistinctStates != 2 {
@@ -118,11 +118,17 @@ func TestRunTrialsByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	for _, backend := range []Backend{BackendDense, BackendCounts} {
 		mk := func(int) enumDuel { return enumDuel{duel{300}} }
 		base := mustTrials(t)(RunTrials[uint32, enumDuel](mk, TrialConfig{
-			Trials: 12, Seed: 99, Workers: 1, Backend: backend, TrackStates: true,
+			Trials: 12,
+			Seed:   99,
+			Pool:   1,
+			Spec:   Spec{Backend: backend, TrackStates: true},
 		}))
 		for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
 			got := mustTrials(t)(RunTrials[uint32, enumDuel](mk, TrialConfig{
-				Trials: 12, Seed: 99, Workers: workers, Backend: backend, TrackStates: true,
+				Trials: 12,
+				Seed:   99,
+				Pool:   workers,
+				Spec:   Spec{Backend: backend, TrackStates: true},
 			}))
 			if !reflect.DeepEqual(base, got) {
 				t.Fatalf("backend %s: results differ between 1 and %d workers:\n%+v\nvs\n%+v",
@@ -134,7 +140,7 @@ func TestRunTrialsByteIdenticalAcrossWorkerCounts(t *testing.T) {
 
 func TestRunTrialsCountsBackend(t *testing.T) {
 	rs := mustTrials(t)(RunTrials[uint32, enumDuel](func(int) enumDuel { return enumDuel{duel{200}} },
-		TrialConfig{Trials: 6, Seed: 3, Backend: BackendCounts}))
+		TrialConfig{Trials: 6, Seed: 3, Spec: Spec{Backend: BackendCounts}}))
 	if !AllConverged(rs) {
 		t.Fatal("counts trials did not converge")
 	}
@@ -154,7 +160,7 @@ func TestRunTrialsCountsBackend(t *testing.T) {
 // spawns, not as a panic inside the pool.
 func TestRunTrialsCountsErrorsWithoutEnumerable(t *testing.T) {
 	rs, err := RunTrials[uint32, duel](func(int) duel { return duel{50} },
-		TrialConfig{Trials: 1, Seed: 1, Backend: BackendCounts})
+		TrialConfig{Trials: 1, Seed: 1, Spec: Spec{Backend: BackendCounts}})
 	if err == nil {
 		t.Fatal("BackendCounts with a non-Enumerable protocol must return an error")
 	}
@@ -165,7 +171,7 @@ func TestRunTrialsCountsErrorsWithoutEnumerable(t *testing.T) {
 
 func TestRunTrialsUnknownBackendErrors(t *testing.T) {
 	_, err := RunTrials[uint32, duel](func(int) duel { return duel{50} },
-		TrialConfig{Trials: 1, Seed: 1, Backend: Backend("bogus")})
+		TrialConfig{Trials: 1, Seed: 1, Spec: Spec{Backend: Backend("bogus")}})
 	if err == nil {
 		t.Fatal("unknown backend must return an error")
 	}
@@ -173,7 +179,7 @@ func TestRunTrialsUnknownBackendErrors(t *testing.T) {
 
 func TestRunTrialsAutoFallsBackToDense(t *testing.T) {
 	rs := mustTrials(t)(RunTrials[uint32, duel](func(int) duel { return duel{50} },
-		TrialConfig{Trials: 2, Seed: 1, Backend: BackendAuto}))
+		TrialConfig{Trials: 2, Seed: 1, Spec: Spec{Backend: BackendAuto}}))
 	if !AllConverged(rs) {
 		t.Fatal("auto trials did not converge")
 	}
@@ -201,7 +207,7 @@ func TestRunTrialsProbedPerTrialSeries(t *testing.T) {
 		}
 		rs, err := RunTrialsProbed[uint32, enumDuel](
 			func(int) enumDuel { return enumDuel{duel{300}} },
-			TrialConfig{Trials: trials, Seed: 11, Backend: backend},
+			TrialConfig{Trials: trials, Seed: 11, Spec: Spec{Backend: backend}},
 			TrialProbe[uint32]{Every: every, Make: func(trial int) Probe[uint32] {
 				return func(step uint64, v CensusView[uint32]) {
 					recs[trial].steps = append(recs[trial].steps, step)

@@ -1,7 +1,7 @@
 // Package store is a content-addressed cache for simulation artifacts:
 // trial results and probe time-series, keyed by a hash of everything that
-// determines them (protocol, population size, seed, budget, backend, batch
-// policy, sharding, protocol parameters, and a format version). Because
+// determines them (protocol, population size, seed, the engine run spec in
+// its canonical encoding, protocol parameters, and a format version). Because
 // every engine is deterministic given its configuration and PRNG stream,
 // the cache key fully determines the value — a hit can be substituted for
 // a re-run, which is what lets sweeps and the paper experiments skip cells
@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync/atomic"
 
 	"popelect/internal/sim"
@@ -30,20 +29,18 @@ import (
 
 // schemaVersion is folded into every key hash; bump it whenever the
 // meaning of a key field or the envelope layout changes, so stale entries
-// from older binaries miss instead of deserializing wrongly. Version 2:
-// counts batches no longer prune globally silent columns, so serial
-// batches of protocols with such columns (epidemic, gsu19) consume
-// randomness differently and a version-1 entry no longer equals a fresh
-// run under the same key.
-const schemaVersion = 2
+// from older binaries miss instead of deserializing wrongly. Version 3:
+// keys carry the engine configuration as sim.Spec's canonical encoding and
+// hash the whole key's JSON, so version-2 entries (whose batch field
+// dropped auto mode's ε) no longer match.
+const schemaVersion = 3
 
-// Key identifies one cached computation. Every field that influences the
+// Key identifies one cached computation. Every input that influences the
 // simulated trajectory or its observation must appear here; two runs with
 // equal keys are byte-identical by the determinism contract, which is the
-// only reason substituting a cached value is sound. Fields irrelevant to a
-// given entry stay at their zero value (the hash covers them anyway, so a
-// zero Shards and an unset Shards are the same key — as they should be,
-// since both select the single-census engine).
+// only reason substituting a cached value is sound. The engine
+// configuration enters as one canonically encoded sim.Spec, so a knob added
+// to the spec is part of every key without being listed here.
 type Key struct {
 	// Kind namespaces the entry: what computation produced it
 	// (e.g. "trials", "series", an experiment id). Entries of different
@@ -62,32 +59,11 @@ type Key struct {
 	// Seed is the base PRNG seed.
 	Seed uint64 `json:"seed"`
 
-	// Budget is the interaction bound (0 = the backend default).
-	Budget uint64 `json:"budget"`
-
-	// Backend is the engine selection ("dense", "counts", "auto", ...).
-	Backend string `json:"backend"`
-
-	// Batch fingerprints the batch policy (e.g. "auto", "adaptive(ε=0.02)",
-	// "exact", a fixed length). String-typed so the store does not chase
-	// the sim package's policy representation.
-	Batch string `json:"batch,omitempty"`
-
-	// Workers is the engine-internal fan-out (sim.CountsEngine.Workers).
-	// It belongs in the key because different worker counts consume
-	// randomness in different orders and yield different (statistically
-	// equivalent) trajectories. Trial-level concurrency does not: RunTrials
-	// results are independent of its pool size.
-	Workers int `json:"workers,omitempty"`
-
-	// Shards is the sharded engine's K (0 or 1 = single census).
-	Shards int `json:"shards,omitempty"`
-
-	// Migration is the sharded engine's λ as configured (0 = default).
-	Migration float64 `json:"migration,omitempty"`
-
-	// ShardEpoch is the sharded engine's epoch override (0 = default).
-	ShardEpoch uint64 `json:"shardEpoch,omitempty"`
+	// Spec is the engine configuration, as sim.Spec.Encode renders it:
+	// backend, batch policy with its ε, engine workers, sharding, budget,
+	// state tracking and the perturbation's fingerprint. Trial-pool
+	// concurrency is not part of it: RunTrials results do not depend on it.
+	Spec string `json:"spec"`
 
 	// Gamma is the phase-clock resolution override (0 = derived default).
 	Gamma int `json:"gamma,omitempty"`
@@ -96,37 +72,24 @@ type Key struct {
 	// or the per-experiment default).
 	ProbeEvery uint64 `json:"probeEvery,omitempty"`
 
-	// Extra discriminates anything the fixed fields do not cover (bias
-	// values, φ/ψ overrides, sweep-cell labels). Callers must render it
+	// Extra discriminates anything the fixed fields do not cover (φ/ψ
+	// overrides, sweep-cell labels). Callers must render it
 	// deterministically.
 	Extra string `json:"extra,omitempty"`
 }
 
-// Hash returns the content address of the key: a hex SHA-256 over a
-// canonical rendering of every field plus the schema version.
+// Hash returns the content address of the key: a hex SHA-256 over the
+// schema version and the key's JSON encoding, which covers every field in
+// declaration order (strings quoted, so no field can masquerade as
+// another).
 func (k Key) Hash() string {
-	h := sha256.New()
-	field := func(name, val string) {
-		// Length-prefixed name/value pairs make the encoding injective:
-		// no concatenation of fields can masquerade as another.
-		fmt.Fprintf(h, "%d:%s=%d:%s;", len(name), name, len(val), val)
+	data, err := json.Marshal(k)
+	if err != nil {
+		panic(err) // unreachable: Key holds only strings and integers
 	}
-	field("schema", strconv.Itoa(schemaVersion))
-	field("kind", k.Kind)
-	field("protocol", k.Protocol)
-	field("n", strconv.Itoa(k.N))
-	field("trials", strconv.Itoa(k.Trials))
-	field("seed", strconv.FormatUint(k.Seed, 10))
-	field("budget", strconv.FormatUint(k.Budget, 10))
-	field("backend", k.Backend)
-	field("batch", k.Batch)
-	field("workers", strconv.Itoa(k.Workers))
-	field("shards", strconv.Itoa(k.Shards))
-	field("migration", strconv.FormatFloat(k.Migration, 'g', -1, 64))
-	field("shardEpoch", strconv.FormatUint(k.ShardEpoch, 10))
-	field("gamma", strconv.Itoa(k.Gamma))
-	field("probeEvery", strconv.FormatUint(k.ProbeEvery, 10))
-	field("extra", k.Extra)
+	h := sha256.New()
+	fmt.Fprintf(h, "schema=%d;", schemaVersion)
+	h.Write(data)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

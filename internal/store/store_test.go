@@ -13,6 +13,10 @@ import (
 	"popelect/internal/store"
 )
 
+func testSpec() sim.Spec {
+	return sim.Spec{Backend: sim.BackendCounts}
+}
+
 func testKey() store.Key {
 	return store.Key{
 		Kind:     "trials",
@@ -20,8 +24,7 @@ func testKey() store.Key {
 		N:        1 << 12,
 		Trials:   5,
 		Seed:     2019,
-		Backend:  "counts",
-		Batch:    "auto",
+		Spec:     testSpec().Encode(),
 	}
 }
 
@@ -32,33 +35,108 @@ func TestKeyHashStableAndSensitive(t *testing.T) {
 	}
 	seen := map[string]string{k.Hash(): "base"}
 	variants := map[string]store.Key{}
-	for name, mut := range map[string]func(*store.Key){
-		"kind":       func(k *store.Key) { k.Kind = "series" },
-		"protocol":   func(k *store.Key) { k.Protocol = "core" },
-		"n":          func(k *store.Key) { k.N++ },
-		"trials":     func(k *store.Key) { k.Trials++ },
-		"seed":       func(k *store.Key) { k.Seed++ },
-		"budget":     func(k *store.Key) { k.Budget = 1 },
-		"backend":    func(k *store.Key) { k.Backend = "dense" },
-		"batch":      func(k *store.Key) { k.Batch = "exact" },
-		"workers":    func(k *store.Key) { k.Workers = 8 },
-		"shards":     func(k *store.Key) { k.Shards = 4 },
-		"migration":  func(k *store.Key) { k.Migration = 0.25 },
-		"shardEpoch": func(k *store.Key) { k.ShardEpoch = 1024 },
-		"gamma":      func(k *store.Key) { k.Gamma = 60 },
-		"probeEvery": func(k *store.Key) { k.ProbeEvery = 256 },
-		"extra":      func(k *store.Key) { k.Extra = "bias=0.5" },
+	for name, mut := range map[string]func(*store.Key, *sim.Spec){
+		"kind":       func(k *store.Key, _ *sim.Spec) { k.Kind = "series" },
+		"protocol":   func(k *store.Key, _ *sim.Spec) { k.Protocol = "core" },
+		"n":          func(k *store.Key, _ *sim.Spec) { k.N++ },
+		"trials":     func(k *store.Key, _ *sim.Spec) { k.Trials++ },
+		"seed":       func(k *store.Key, _ *sim.Spec) { k.Seed++ },
+		"budget":     func(_ *store.Key, s *sim.Spec) { s.Budget = 1 },
+		"backend":    func(_ *store.Key, s *sim.Spec) { s.Backend = sim.BackendDense },
+		"batch":      func(_ *store.Key, s *sim.Spec) { s.Batch = sim.BatchPolicy{Mode: sim.BatchExact} },
+		"workers":    func(_ *store.Key, s *sim.Spec) { s.Workers = 8 },
+		"shards":     func(_ *store.Key, s *sim.Spec) { s.Shards = 4 },
+		"migration":  func(_ *store.Key, s *sim.Spec) { s.Migration = 0.25 },
+		"shardEpoch": func(_ *store.Key, s *sim.Spec) { s.ShardEpoch = 1024 },
+		"gamma":      func(k *store.Key, _ *sim.Spec) { k.Gamma = 60 },
+		"probeEvery": func(k *store.Key, _ *sim.Spec) { k.ProbeEvery = 256 },
+		"extra":      func(k *store.Key, _ *sim.Spec) { k.Extra = "bias=0.5" },
 	} {
-		v := testKey()
-		mut(&v)
+		v, spec := testKey(), testSpec()
+		mut(&v, &spec)
+		if spec != testSpec() {
+			v.Spec = spec.Encode()
+		}
 		variants[name] = v
 	}
+
+	// Every field of the run spec, found by reflection so that a field
+	// added later is covered too, must move the hash on its own. Nested
+	// structs (the batch policy) are varied field by field.
+	var leaves func(t reflect.Type, index []int, path string)
+	leaves = func(typ reflect.Type, index []int, path string) {
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			idx := append(append([]int(nil), index...), i)
+			if f.Type.Kind() == reflect.Struct {
+				leaves(f.Type, idx, path+f.Name+".")
+				continue
+			}
+			spec := testSpec()
+			setNonZero(t, reflect.ValueOf(&spec).Elem().FieldByIndex(idx), path+f.Name)
+			key := testKey()
+			key.Spec = spec.Encode()
+			variants["spec."+path+f.Name] = key
+		}
+	}
+	leaves(reflect.TypeOf(sim.Spec{}), nil, "")
+
 	for name, v := range variants {
 		h := v.Hash()
 		if prev, dup := seen[h]; dup {
 			t.Errorf("changing %q collides with %q", name, prev)
 		}
 		seen[h] = name
+	}
+
+	// The trial pool size is not part of the key: RunTrials results do
+	// not depend on it.
+	a := sim.TrialConfig{Spec: testSpec(), Pool: 1}
+	b := sim.TrialConfig{Spec: testSpec(), Pool: 8}
+	ka, kb := testKey(), testKey()
+	ka.Spec, kb.Spec = a.Spec.Encode(), b.Spec.Encode()
+	if ka.Hash() != kb.Hash() {
+		t.Error("the trial pool size changes the store key")
+	}
+}
+
+// setNonZero stores a value different from the zero value (and from
+// testSpec's) into a spec field.
+func setNonZero(t *testing.T, f reflect.Value, name string) {
+	t.Helper()
+	switch f.Kind() {
+	case reflect.String:
+		f.SetString("auto")
+	case reflect.Bool:
+		f.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		f.SetInt(3)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		f.SetUint(2)
+	case reflect.Float32, reflect.Float64:
+		f.SetFloat(0.01)
+	case reflect.Interface:
+		f.Set(reflect.ValueOf(sim.Churn{LeaveRate: 1e-3}))
+	default:
+		t.Fatalf("spec field %s: no non-zero value for kind %s", name, f.Kind())
+	}
+}
+
+// TestKeyDistinguishesAutoEpsilon is the regression test for a stale hit:
+// auto mode applies Batch.Eps to its adaptive tier, so two specs that
+// differ only there must not share a store entry, and table notes must
+// show the ε.
+func TestKeyDistinguishesAutoEpsilon(t *testing.T) {
+	def := sim.BatchPolicy{Mode: sim.BatchAuto}
+	tight := sim.BatchPolicy{Mode: sim.BatchAuto, Eps: 0.01}
+	if def.String() == tight.String() {
+		t.Errorf("BatchPolicy.String renders auto ε=0.01 as %q, like the default", tight.String())
+	}
+	a, b := testKey(), testKey()
+	a.Spec = sim.Spec{Backend: sim.BackendCounts, Batch: def}.Encode()
+	b.Spec = sim.Spec{Backend: sim.BackendCounts, Batch: tight}.Encode()
+	if a.Hash() == b.Hash() {
+		t.Error("specs differing only in auto-mode ε share a store key")
 	}
 }
 

@@ -28,7 +28,6 @@ package popelect
 
 import (
 	"fmt"
-	"os"
 
 	"popelect/internal/protocols"
 	"popelect/internal/rng"
@@ -107,29 +106,22 @@ type CensusPoint struct {
 	States int
 }
 
+// options is what the Option setters fill in: the engine run spec plus
+// the run's seed, protocol overrides, timeline and checkpoint files.
 type options struct {
+	spec          sim.Spec
 	seed          uint64
-	budget        uint64
-	gamma         int
-	phi           int
-	psi           int
-	trackStates   bool
-	backend       string
-	batch         string
-	batchEps      float64
-	workers       int
-	shards        int
-	migration     float64
-	migrationSet  bool
+	over          protocols.Overrides
 	timelineEvery uint64
-	ckptPath      string
-	ckptEvery     uint64
-	resumePath    string
-	perturbs      []sim.Perturbation
-	churnSpec     string
-	corruptSpec   string
-	biasSpec      string
-	specsSet      bool
+	ckpt          sim.Checkpoint
+	err           error // the first malformed option argument
+}
+
+// fail records the first malformed option argument; the run reports it.
+func (o *options) fail(err error) {
+	if o.err == nil {
+		o.err = fmt.Errorf("popelect: %w", err)
+	}
 }
 
 // Option configures a run.
@@ -139,7 +131,7 @@ type Option func(*options)
 func WithSeed(seed uint64) Option { return func(o *options) { o.seed = seed } }
 
 // WithBudget caps the number of interactions (0 = a generous default).
-func WithBudget(max uint64) Option { return func(o *options) { o.budget = max } }
+func WithBudget(max uint64) Option { return func(o *options) { o.spec.Budget = max } }
 
 // WithGamma overrides the phase-clock resolution Γ of clocked protocols.
 // The default is derived from the population size — Γ(n) =
@@ -147,23 +139,35 @@ func WithBudget(max uint64) Option { return func(o *options) { o.budget = max } 
 // 36 — so that the clock's wrap window Γ/2 always clears the natural
 // ~log n phase spread; a fixed override below that tears the clock at
 // large n.
-func WithGamma(gamma int) Option { return func(o *options) { o.gamma = gamma } }
+func WithGamma(gamma int) Option { return func(o *options) { o.over.Gamma = gamma } }
 
 // WithPhi overrides the coin-level cap Φ (GSU19, GS18 and the clocked
 // scenario protocols).
-func WithPhi(phi int) Option { return func(o *options) { o.phi = phi } }
+func WithPhi(phi int) Option { return func(o *options) { o.over.Phi = phi } }
 
 // WithPsi overrides the drag-counter range Ψ (GSU19).
-func WithPsi(psi int) Option { return func(o *options) { o.psi = psi } }
+func WithPsi(psi int) Option { return func(o *options) { o.over.Psi = psi } }
 
 // WithStateTracking records the number of distinct states used.
-func WithStateTracking() Option { return func(o *options) { o.trackStates = true } }
+func WithStateTracking() Option { return func(o *options) { o.spec.TrackStates = true } }
 
 // WithBackend selects the simulation backend: "dense" (per-agent array,
 // exact, the default), "counts" (state-census batch engine for populations
 // of 10⁸–10⁹ agents; Result.LeaderID is -1 because agents are anonymous),
 // or "auto" (counts for large enumerable protocols, dense otherwise).
-func WithBackend(backend string) Option { return func(o *options) { o.backend = backend } }
+func WithBackend(backend string) Option {
+	return func(o *options) {
+		if backend == "" {
+			o.spec.Backend = "" // the dense default, not ParseBackend's auto
+			return
+		}
+		b, err := sim.ParseBackend(backend)
+		if err != nil {
+			o.fail(err)
+		}
+		o.spec.Backend = b
+	}
+}
 
 // WithBatchPolicy selects the counts backend's batch scheduling policy:
 // "auto" (the default: exact below 2¹⁷ agents, drift-bounded adaptive
@@ -172,14 +176,22 @@ func WithBackend(backend string) Option { return func(o *options) { o.backend = 
 // batch length (fast but biases stabilization times upward ≈10% at n/8 —
 // see sim.BatchPolicy). The dense backend ignores it. See also
 // WithBatchEps.
-func WithBatchPolicy(policy string) Option { return func(o *options) { o.batch = policy } }
+func WithBatchPolicy(policy string) Option {
+	return func(o *options) {
+		p, err := sim.ParseBatchPolicy(policy)
+		if err != nil {
+			o.fail(err)
+		}
+		o.spec.Batch.Mode, o.spec.Batch.Len = p.Mode, p.Len
+	}
+}
 
 // WithBatchEps tunes the adaptive batch controller's drift bound ε — the
 // maximum fraction by which any state's expected census count may move
 // during one aggregated batch (0 keeps the default). Smaller ε tracks the
 // sequential scheduler more closely at proportionally lower throughput.
 // Only meaningful with the counts backend under an adaptive batch policy.
-func WithBatchEps(eps float64) Option { return func(o *options) { o.batchEps = eps } }
+func WithBatchEps(eps float64) Option { return func(o *options) { o.spec.Batch.Eps = eps } }
 
 // WithWorkers caps the simulation engine's internal worker pool — on the
 // counts backend, the number of sampling shards each batch fans out to
@@ -189,7 +201,7 @@ func WithBatchEps(eps float64) Option { return func(o *options) { o.batchEps = e
 // randomness in different orders and give statistically equivalent but
 // different trajectories, exactly like changing the seed. 0 (the default)
 // keeps the serial path.
-func WithWorkers(workers int) Option { return func(o *options) { o.workers = workers } }
+func WithWorkers(workers int) Option { return func(o *options) { o.spec.Workers = workers } }
 
 // WithShards partitions the population into K sub-censuses advanced by K
 // concurrent goroutines with no per-interaction coordination, exchanging
@@ -202,7 +214,7 @@ func WithWorkers(workers int) Option { return func(o *options) { o.workers = wor
 // different K or λ are different models. Defaults to fidelity mode —
 // epoch n/16, λ = sim.DefaultMigrationRate — whose stabilization-time law
 // is validated KS-consistent with the global uniform scheduler.
-func WithShards(shards int) Option { return func(o *options) { o.shards = shards } }
+func WithShards(shards int) Option { return func(o *options) { o.spec.Shards = shards } }
 
 // WithMigrationRate sets λ, the probability that an agent joins the
 // inter-shard exchange at each epoch boundary (scenario mode: the
@@ -210,7 +222,12 @@ func WithShards(shards int) Option { return func(o *options) { o.shards = shards
 // derived Γ(n) clock gets stress-tested). 0 disables migration entirely,
 // leaving K isolated populations. Only meaningful with WithShards ≥ 2.
 func WithMigrationRate(lambda float64) Option {
-	return func(o *options) { o.migration = lambda; o.migrationSet = true }
+	return func(o *options) {
+		o.spec.Migration = lambda
+		if lambda <= 0 {
+			o.spec.Migration = -1 // sim.Spec's isolated-shards value
+		}
+	}
 }
 
 // WithCensusTimeline records a census sample (leader count, occupied
@@ -230,7 +247,7 @@ func WithCensusTimeline(interval uint64) Option {
 // restartable; by the resume-equals-replay law the restarted run finishes
 // byte-identically to an uninterrupted one.
 func WithCheckpoint(path string, every uint64) Option {
-	return func(o *options) { o.ckptPath = path; o.ckptEvery = every }
+	return func(o *options) { o.ckpt.Path, o.ckpt.Every = path, every }
 }
 
 // WithResume restores the engine from the checkpoint file at path before
@@ -240,40 +257,7 @@ func WithCheckpoint(path string, every uint64) Option {
 // parameters, n, backend, and any WithCensusTimeline cadence — must match
 // the run that wrote the snapshot.
 func WithResume(path string) Option {
-	return func(o *options) { o.resumePath = path }
-}
-
-// WithChurn subjects the run to population churn: agents leave uniformly
-// at random at expected rate leave per interaction, and fresh agents join
-// in a random initial state at expected rate join, so the population size
-// becomes time-varying. Result.Leaders and stabilization refer to the live
-// population at the end. Works on every backend; the dense backend
-// additionally requires an enumerable protocol.
-func WithChurn(leave, join float64) Option {
-	return func(o *options) {
-		o.perturbs = append(o.perturbs, sim.Churn{LeaveRate: leave, JoinRate: join})
-	}
-}
-
-// WithCorruption scrambles the states of k uniformly chosen agents to
-// uniformly random enumerated states once, at interaction step at — the
-// adversarial transient fault the self-stabilization literature recovers
-// from. Works on every backend (the counts backend draws the k agents with
-// one multivariate-hypergeometric census split).
-func WithCorruption(k int, at uint64) Option {
-	return func(o *options) {
-		o.perturbs = append(o.perturbs, sim.Corruption{K: int64(k), At: at})
-	}
-}
-
-// WithBias skews the scheduler away from uniformity: an agent in census
-// class c is chosen for an interaction with relative weight weights[c]
-// (missing classes weigh 1). Supported on the dense and counts backends;
-// the sharded backend rejects it.
-func WithBias(weights ...float64) Option {
-	return func(o *options) {
-		o.perturbs = append(o.perturbs, sim.Bias{Weights: weights})
-	}
+	return func(o *options) { o.ckpt.Resume = path }
 }
 
 // WithScenario attaches perturbations from the CLIs' compact spec strings
@@ -286,12 +270,14 @@ func WithBias(weights ...float64) Option {
 //	bias:    "CLASS=WEIGHT,..." non-uniform scheduler weights per census
 //	         class (missing classes weigh 1)
 //
-// Malformed specs surface as errors from the run. The typed options
-// (WithChurn, WithCorruption, WithBias) compose with this one.
+// Malformed specs surface as errors from the run.
 func WithScenario(churn, corrupt, bias string) Option {
 	return func(o *options) {
-		o.churnSpec, o.corruptSpec, o.biasSpec = churn, corrupt, bias
-		o.specsSet = true
+		p, err := sim.ParsePerturbations(churn, corrupt, bias)
+		if err != nil {
+			o.fail(err)
+		}
+		o.spec.Perturb = p
 	}
 }
 
@@ -335,7 +321,7 @@ func Stabilize(alg Algorithm, n int, opts ...Option) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("popelect: unknown protocol %q (known: %v)", alg, Protocols())
 	}
-	inst, err := entry.New(n, protocols.Overrides{Gamma: o.gamma, Phi: o.phi, Psi: o.psi})
+	inst, err := entry.New(n, o.over)
 	if err != nil {
 		return Result{}, err
 	}
@@ -343,81 +329,20 @@ func Stabilize(alg Algorithm, n int, opts ...Option) (Result, error) {
 }
 
 func run(inst protocols.Instance, o options) (Result, error) {
-	backend := sim.BackendDense
-	if o.backend != "" {
-		var err error
-		if backend, err = sim.ParseBackend(o.backend); err != nil {
-			return Result{}, fmt.Errorf("popelect: %w", err)
-		}
+	if o.err != nil {
+		return Result{}, o.err
 	}
-	var eng sim.Engine
-	var err error
-	if o.shards >= 2 {
-		eng, err = inst.ShardedEngine(rng.New(o.seed), o.shards)
-		if err == nil && o.migrationSet {
-			eng.(sim.ShardConfigurable).SetMigrationRate(o.migration)
-		}
-	} else {
-		eng, err = inst.Engine(rng.New(o.seed), backend)
+	if o.spec.Shards >= 2 && o.spec.Backend == sim.BackendDense {
+		o.spec.Backend = "" // WithShards overrides the dense default
 	}
+	eng, err := inst.Build(rng.New(o.seed), o.spec)
 	if err != nil {
 		return Result{}, fmt.Errorf("popelect: %w", err)
 	}
-	if o.batch != "" || o.batchEps != 0 {
-		policy, err := sim.ParseBatchPolicy(o.batch)
-		if err != nil {
-			return Result{}, fmt.Errorf("popelect: %w", err)
-		}
-		policy.Eps = o.batchEps
-		if ce, ok := eng.(sim.BatchConfigurable); ok {
-			ce.SetBatchPolicy(policy)
-		}
-	}
-	if o.workers > 1 {
-		if wc, ok := eng.(sim.WorkerConfigurable); ok {
-			wc.SetWorkers(o.workers)
-		}
-	}
-	eng.SetBudget(o.budget)
-	if st, ok := eng.(sim.StateTracker); ok {
-		st.SetTrackStates(o.trackStates)
-	}
-	perturbs := o.perturbs
-	if o.specsSet {
-		p, err := sim.ParsePerturbations(o.churnSpec, o.corruptSpec, o.biasSpec)
-		if err != nil {
-			return Result{}, fmt.Errorf("popelect: %w", err)
-		}
-		if p != nil {
-			perturbs = append(perturbs, p)
-		}
-	}
-	if len(perturbs) > 0 {
-		pe, ok := eng.(sim.Perturbable)
-		if !ok {
-			return Result{}, fmt.Errorf("popelect: the selected engine (%T) does not support perturbations", eng)
-		}
-		// Attach before any Restore below: a checkpoint taken under a
-		// perturbation only restores into an engine carrying the same one.
-		if err := pe.SetPerturbation(sim.Combine(perturbs...)); err != nil {
-			return Result{}, fmt.Errorf("popelect: %w", err)
-		}
-	}
-	var ck sim.Checkpointable
-	if o.ckptPath != "" || o.resumePath != "" {
-		if o.ckptPath != "" && o.ckptEvery == 0 {
-			return Result{}, fmt.Errorf("popelect: WithCheckpoint needs a positive interval")
-		}
-		c, ok := eng.(sim.Checkpointable)
-		if !ok {
-			return Result{}, fmt.Errorf("popelect: the selected engine (%T) does not support checkpointing", eng)
-		}
-		ck = c
-	}
 	var timeline []CensusPoint
-	var record func(step uint64, v protocols.Census)
+	var start func() error
 	if o.timelineEvery > 0 {
-		record = func(step uint64, v protocols.Census) {
+		record := func(step uint64, v protocols.Census) {
 			if len(timeline) > 0 && timeline[len(timeline)-1].Step == step {
 				return // run ended exactly on a sample boundary
 			}
@@ -426,36 +351,20 @@ func run(inst protocols.Instance, o options) (Result, error) {
 		if err := inst.AddProbe(eng, record, o.timelineEvery); err != nil {
 			return Result{}, fmt.Errorf("popelect: %w", err)
 		}
-	}
-	// Restore after probes are registered (the snapshot's probe schedules
-	// must match the engine's probe set) and before the timeline's initial
-	// sample, which records the restored census at the restored step.
-	if o.resumePath != "" {
-		data, err := sim.ReadCheckpointFile(o.resumePath)
-		switch {
-		case err == nil:
-			if err := ck.Restore(data); err != nil {
-				return Result{}, fmt.Errorf("popelect: resume from %s: %w", o.resumePath, err)
+		// The initial sample records the census after any resume, at the
+		// restored step.
+		start = func() error {
+			cv, err := inst.CensusOf(eng)
+			if err != nil {
+				return err
 			}
-		case !os.IsNotExist(err):
-			return Result{}, fmt.Errorf("popelect: resume: %w", err)
+			record(eng.Steps(), cv)
+			return nil
 		}
 	}
-	if o.ckptPath != "" {
-		ck.SetCheckpoint(o.ckptEvery, sim.FileSink(o.ckptPath))
-	}
-	if record != nil {
-		cv, err := inst.CensusOf(eng)
-		if err != nil {
-			return Result{}, fmt.Errorf("popelect: %w", err)
-		}
-		record(eng.Steps(), cv)
-	}
-	res := eng.Run()
-	if ck != nil {
-		if err := ck.CheckpointErr(); err != nil {
-			return Result{}, fmt.Errorf("popelect: %w", err)
-		}
+	res, err := sim.Execute(eng, o.ckpt, start)
+	if err != nil {
+		return Result{}, fmt.Errorf("popelect: %w", err)
 	}
 	if !res.Converged {
 		return Result{}, fmt.Errorf("popelect: %s did not stabilize within %d interactions",

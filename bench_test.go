@@ -311,8 +311,9 @@ func BenchmarkPaperbenchSmoke(b *testing.B) {
 // --- Backend comparison: dense vs counts on identical workloads ---
 
 // benchBackend runs one full GS18 election per iteration on the given
-// backend and reports mean parallel time plus interaction throughput.
-func benchBackend(b *testing.B, n int, backend sim.Backend, batch uint64) {
+// backend (counts under the given batch policy; the zero policy is auto)
+// and reports interaction throughput.
+func benchBackend(b *testing.B, n int, backend sim.Backend, policy sim.BatchPolicy) {
 	b.Helper()
 	pr := gs18.MustNew(gs18.DefaultParams(n))
 	var interactions uint64
@@ -321,8 +322,8 @@ func benchBackend(b *testing.B, n int, backend sim.Backend, batch uint64) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if c, ok := eng.(*sim.CountsEngine[uint32]); ok && batch != 0 {
-			c.SetBatchPolicy(sim.BatchPolicy{Mode: sim.BatchFixed, Len: batch})
+		if c, ok := eng.(*sim.CountsEngine[uint32]); ok {
+			c.SetBatchPolicy(policy)
 		}
 		res := eng.Run()
 		if !res.Converged || res.Leaders != 1 {
@@ -333,22 +334,33 @@ func benchBackend(b *testing.B, n int, backend sim.Backend, batch uint64) {
 	b.ReportMetric(float64(interactions)/b.Elapsed().Seconds()/1e6, "Minteractions/s")
 }
 
-func BenchmarkBackendDenseGS18(b *testing.B)       { benchBackend(b, 1<<15, sim.BackendDense, 0) }
-func BenchmarkBackendCountsExactGS18(b *testing.B) { benchBackend(b, 1<<15, sim.BackendCounts, 1) }
-func BenchmarkBackendCountsBatchGS18(b *testing.B) { benchBackend(b, 1<<15, sim.BackendCounts, 1<<12) }
+func BenchmarkBackendDenseGS18(b *testing.B) {
+	benchBackend(b, 1<<15, sim.BackendDense, sim.BatchPolicy{})
+}
+
+// BenchmarkBackendCountsExactGS18 times the exact per-interaction path,
+// what auto resolves to below sim.ExactMaxN (a fixed policy of length 1
+// would add a batch-controller round trip per interaction).
+func BenchmarkBackendCountsExactGS18(b *testing.B) {
+	benchBackend(b, 1<<15, sim.BackendCounts, sim.BatchPolicy{Mode: sim.BatchExact})
+}
+
+func BenchmarkBackendCountsBatchGS18(b *testing.B) {
+	benchBackend(b, 1<<15, sim.BackendCounts, sim.BatchPolicy{Mode: sim.BatchFixed, Len: 1 << 12})
+}
 
 // BenchmarkBackendCountsMillion runs a full GS18 election at n = 2²⁰ per
 // iteration — a population the dense backend needs minutes for. At this
 // size the auto policy resolves to the drift-bounded adaptive controller.
 func BenchmarkBackendCountsMillion(b *testing.B) {
-	benchBackend(b, 1<<20, sim.BackendCounts, 0)
+	benchBackend(b, 1<<20, sim.BackendCounts, sim.BatchPolicy{})
 }
 
 // BenchmarkBackendCountsFixedMillion is the same election under the fixed
 // n/8 policy — the throughput side of the batch-policy dial (compare
 // against BenchmarkBackendCountsMillion's adaptive default).
 func BenchmarkBackendCountsFixedMillion(b *testing.B) {
-	benchBackend(b, 1<<20, sim.BackendCounts, 1<<17)
+	benchBackend(b, 1<<20, sim.BackendCounts, sim.BatchPolicy{Mode: sim.BatchFixed, Len: 1 << 17})
 }
 
 // --- Clock-span regression (runs in CI's bench-smoke job) ---

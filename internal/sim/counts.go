@@ -488,12 +488,11 @@ func (e *CountsEngine[S]) Step() bool {
 		return e.stepBiased()
 	}
 	u1 := e.src.Uintn(uint64(e.n))
-	a := e.fen.find(u1)
 	u2 := e.src.Uintn(uint64(e.n))
 	for u2 == u1 {
 		u2 = e.src.Uintn(uint64(e.n))
 	}
-	b := e.fen.find(u2)
+	a, b := e.fen.find2(u1, u2)
 	e.step++
 	a2, b2 := e.deltaIDs(a, b)
 	changed := a2 != a || b2 != b
@@ -1395,46 +1394,4 @@ func ensureLen[T any](s *[]T, n int) []T {
 	}
 	*s = (*s)[:n]
 	return *s
-}
-
-// fenwick is a binary indexed tree over int64 counts with prefix-sum
-// selection, used by the exact per-interaction mode to draw a state
-// proportionally to its count in O(log states).
-type fenwick struct {
-	tree []int64 // 1-indexed; tree[i] covers the range (i − lowbit(i), i]
-	cap  int     // power of two ≥ slot count
-}
-
-func (f *fenwick) init(n int) {
-	c := 1
-	for c < n {
-		c <<= 1
-	}
-	f.cap = c
-	if cap(f.tree) >= c+1 {
-		f.tree = f.tree[:c+1]
-		clear(f.tree)
-	} else {
-		f.tree = make([]int64, c+1)
-	}
-}
-
-func (f *fenwick) add(i int32, d int64) {
-	for j := int(i) + 1; j <= f.cap; j += j & -j {
-		f.tree[j] += d
-	}
-}
-
-// find returns the smallest slot index whose prefix sum exceeds u; with u
-// uniform on [0, total) this selects a slot proportionally to its count.
-func (f *fenwick) find(u uint64) int32 {
-	pos := 0
-	rem := int64(u)
-	for bit := f.cap; bit > 0; bit >>= 1 {
-		if next := pos + bit; next <= f.cap && f.tree[next] <= rem {
-			pos = next
-			rem -= f.tree[next]
-		}
-	}
-	return int32(pos)
 }

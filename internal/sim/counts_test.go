@@ -191,26 +191,6 @@ func TestParseBackend(t *testing.T) {
 	}
 }
 
-func TestFenwick(t *testing.T) {
-	var f fenwick
-	f.init(5)
-	counts := []int64{3, 0, 2, 5, 1}
-	for i, c := range counts {
-		f.add(int32(i), c)
-	}
-	// The u-th unit item (0-based) lands in the slot covering it.
-	want := []int32{0, 0, 0, 2, 2, 3, 3, 3, 3, 3, 4}
-	for u, w := range want {
-		if got := f.find(uint64(u)); got != w {
-			t.Fatalf("find(%d) = %d, want %d", u, got, w)
-		}
-	}
-	f.add(0, -3)
-	if got := f.find(0); got != 2 {
-		t.Fatalf("after removal find(0) = %d, want 2", got)
-	}
-}
-
 // bigEnum is an Enumerable fixture with a configurable state-space bound,
 // for exercising the flat delta-table sizing. Delta mixes states so that
 // arbitrary ids can be forced into the transition cache.
